@@ -9,6 +9,7 @@ scene generator for validation.
 from .audio_io import AudioClip, read_wav, resample, write_wav
 from .config import EnhanceConfig, load_config, parse_config
 from .covariance import BinStatistics, estimate_correlations, regularize
+from .errors import EgomwfError
 from .filters import (
     ChannelPartition,
     FilterBank,
@@ -35,6 +36,7 @@ from .stft import StftGrid, StftParams, analyze, synthesize
 __version__ = "0.1.0"
 
 __all__ = [
+    "EgomwfError",
     "AudioClip", "read_wav", "write_wav", "resample",
     "StftParams", "StftGrid", "analyze", "synthesize",
     "SppParams", "SppMask", "estimate_spp", "select_spp_channel",

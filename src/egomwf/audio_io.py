@@ -15,8 +15,10 @@ import numpy as np
 from scipy import signal as sps
 from scipy.io import wavfile
 
+from .errors import EgomwfError
 
-class AudioError(Exception):
+
+class AudioError(EgomwfError):
     """Raised for unreadable/unsupported audio files or invalid clips."""
 
 

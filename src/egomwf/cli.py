@@ -22,27 +22,29 @@ import numpy as np
 from . import scenegen
 from .audio_io import AudioClip, AudioError, read_wav, write_wav
 from .config import ConfigError, EnhanceConfig, load_config
+from .errors import EgomwfError
 from .filters import METHODS
-from .metrics import MetricsError, evaluate, snr_db, stoi
-from .pipeline import EnhanceResult, PipelineError, enhance
+from .metrics import evaluate, snr_db, stoi
+from .pipeline import EnhanceResult, enhance
 from .scenegen import (
     DEFAULT_ARRAY_SIZES,
     DEFAULT_SNRS_DB,
-    SPP_MODES,
     SceneConfig,
-    SceneError,
     SweepCell,
     default_suite,
     render_scene,
     suite_partition,
     write_scene,
 )
+from .spp import SPP_MODES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PROCESSING = 3
 
-PROCESSING_ERRORS = (AudioError, PipelineError, MetricsError, SceneError, OSError, ValueError)
+# every package exception derives from EgomwfError; OSError and ValueError
+# cover file-system failures and invalid arrays from numpy/scipy
+PROCESSING_ERRORS = (EgomwfError, OSError, ValueError)
 
 
 def _fail_config(msg: str) -> int:

@@ -10,14 +10,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition, FilterError
-from .spp import SppError, SppParams
+from .spp import SPP_MODES, SppError, SppParams
 from .stft import StftError, StftParams
 
-SPP_MODES = ("internal", "external", "oracle")
 
-
-class ConfigError(Exception):
+class ConfigError(EgomwfError):
     """Carries the full list of violations found in a config."""
 
     def __init__(self, violations: list[str]):

@@ -56,13 +56,17 @@ def estimate_correlations(
         raise ValueError(
             f"mask shape {mask.beta.shape} does not match grid {grid.data.shape[:2]}"
         )
-    y = grid.data[:, :, channels]  # (bins, frames, M)
+    # contiguous (bins, M, frames) so each masked product is one stacked zgemm
+    y = np.ascontiguousarray(np.moveaxis(grid.data, 2, 1)[:, channels, :])
+    yh = np.conj(np.swapaxes(y, 1, 2))
     beta = mask.beta.astype(np.float64)
     l_on = beta.sum(axis=1)
     l_off = beta.shape[1] - l_on
 
+    # r_nn gets its own masked product: "total minus speech-active" would
+    # cancel catastrophically when few frames are inactive
     def masked_average(w: np.ndarray, count: np.ndarray) -> np.ndarray:
-        acc = np.swapaxes(y * w[:, :, None], 1, 2) @ np.conj(y)
+        acc = (y * w[:, None, :]) @ yh
         return _hermitize(acc / np.maximum(count, 1.0)[:, None, None])
 
     r_yy = masked_average(beta, l_on)

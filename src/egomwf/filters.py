@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import BinStatistics, regularize
+from .errors import EgomwfError
 from .gevd import gevd
 
 STATUS_OK = "ok"
@@ -31,7 +32,7 @@ METHOD_PKMWF = "pk-mwf"
 METHODS = (METHOD_MWF, METHOD_MWF_NOISE_MICS, METHOD_PKMWF)
 
 
-class FilterError(Exception):
+class FilterError(EgomwfError):
     pass
 
 

@@ -1,13 +1,15 @@
-"""Self-contained Hermitian linear-algebra kernel.
+"""Hermitian GEVD on batched LAPACK.
 
-Cholesky factorization, a cyclic-Jacobi Hermitian eigensolver, and the
-generalized eigendecomposition of the pencil {R_yy, R_nn} via whitening.
-Everything accepts stacked inputs (..., M, M) and runs the same fixed
-sweep order on every slice, so results are deterministic bit-for-bit.
+Cholesky factorization, triangular solves, the Hermitian eigensolver and
+the generalized eigendecomposition of the pencil {R_yy, R_nn} via
+whitening, as thin wrappers over numpy.linalg. Everything accepts
+stacked inputs (..., M, M); LAPACK factors each slice on its own, so a
+slice's result does not depend on what else shares the batch.
 
 Convention: gevd() returns Q with R_nn = Q Q^H and R_yy = Q diag(s_y) Q^H,
 i.e. the noise eigenvalues are normalized to one and the ratio sort
-reduces to sorting s_y descending.
+reduces to sorting s_y descending. Eigenvectors carry a fixed phase: the
+largest-magnitude entry of each one is real and positive.
 """
 
 from __future__ import annotations
@@ -16,19 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_JACOBI_TOL = 1e-14
-_MAX_SWEEPS = 10_000
+from .errors import EgomwfError
 
 
-class NotPositiveDefiniteError(Exception):
+class NotPositiveDefiniteError(EgomwfError):
     """Cholesky hit a non-positive pivot; caller should regularize."""
-
-
-class EigConvergenceError(Exception):
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(f"Jacobi sweep cap reached after {sweeps} sweeps, off-diagonal residual {residual:.3e}")
-        self.residual = residual
-        self.sweeps = sweeps
 
 
 @dataclass(frozen=True)
@@ -44,19 +38,21 @@ class PencilDecomposition:
     sigma_n: np.ndarray
 
 
-def _as_stack(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    lead = a.shape[:-2]
-    m = a.shape[-1]
-    return a.reshape(-1, m, m).copy(), lead
+    return a
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -2, -1))
 
 
 def check_hermitian(a: np.ndarray, rtol: float = 1e-10) -> None:
     a = np.asarray(a)
     scale = np.linalg.norm(a, axis=(-2, -1))
-    dev = np.linalg.norm(a - np.conj(np.swapaxes(a, -2, -1)), axis=(-2, -1))
+    dev = np.linalg.norm(a - _herm(a), axis=(-2, -1))
     if np.any(dev > rtol * np.maximum(scale, np.finfo(float).tiny)):
         raise ValueError("matrix is not Hermitian within tolerance")
 
@@ -67,158 +63,41 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     Accepts stacks (..., M, M). Raises NotPositiveDefiniteError on a
     non-positive pivot anywhere in the stack.
     """
-    stack, lead = _as_stack(a)
-    b, m = stack.shape[0], stack.shape[1]
-    low = np.zeros_like(stack)
-    for j in range(m):
-        if j == 0:
-            d = stack[:, j, j].real
-        else:
-            d = stack[:, j, j].real - np.sum(np.abs(low[:, j, :j]) ** 2, axis=1)
-        if np.any(d <= 0):
-            raise NotPositiveDefiniteError(f"non-positive pivot at column {j}")
-        low[:, j, j] = np.sqrt(d)
-        if j + 1 < m:
-            if j == 0:
-                s = stack[:, j + 1 :, j]
-            else:
-                s = stack[:, j + 1 :, j] - np.einsum(
-                    "bik,bk->bi", low[:, j + 1 :, :j], np.conj(low[:, j, :j])
-                )
-            low[:, j + 1 :, j] = s / low[:, j, j][:, None]
-    return low.reshape(lead + (m, m)) if lead else low[0]
-
-
-def _solve_shape(a: np.ndarray, rhs: np.ndarray) -> tuple[int, ...]:
-    return np.broadcast_shapes(a.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:]
+    try:
+        return np.linalg.cholesky(_as_square(a))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
 
 
 def solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution: X with low @ X = rhs, batched over leading axes."""
-    low = np.asarray(low, dtype=np.complex128)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    m = low.shape[-1]
-    x = np.zeros(_solve_shape(low, rhs), dtype=np.complex128)
-    for i in range(m):
-        acc = rhs[..., i, :]
-        if i > 0:
-            acc = acc - np.einsum("...k,...kj->...j", low[..., i, :i], x[..., :i, :])
-        x[..., i, :] = acc / low[..., i, i][..., None]
-    return x
+    """X with low @ X = rhs (low lower-triangular), batched over leading axes."""
+    return np.linalg.solve(_as_square(low), np.asarray(rhs, dtype=np.complex128))
 
 
 def solve_upper(up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Back substitution: X with up @ X = rhs (up upper-triangular), batched."""
-    up = np.asarray(up, dtype=np.complex128)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    m = up.shape[-1]
-    x = np.zeros(_solve_shape(up, rhs), dtype=np.complex128)
-    for i in range(m - 1, -1, -1):
-        acc = rhs[..., i, :]
-        if i + 1 < m:
-            acc = acc - np.einsum("...k,...kj->...j", up[..., i, i + 1 :], x[..., i + 1 :, :])
-        x[..., i, :] = acc / up[..., i, i][..., None]
-    return x
-
-
-_SKIP_TOL = 1e-16  # relative to the (normalized) slice scale
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, live: np.ndarray) -> None:
-    """One batched Jacobi rotation zeroing element (p, q) of live slices.
-
-    Slices are assumed normalized to unit Frobenius scale, so entries
-    below _SKIP_TOL are negligible and get an identity rotation; this
-    keeps every intermediate quantity far from overflow. Converged
-    slices (live=False) are left untouched so each slice's result is
-    independent of what else shares the batch.
-    """
-    apq = a[:, p, q]
-    r = np.abs(apq)
-    active = (r > _SKIP_TOL) & live
-    # phase of the off-diagonal entry; identity rotation where inactive
-    phase = np.ones_like(apq)
-    phase[active] = apq[active] / r[active]
-    app = a[:, p, p].real
-    aqq = a[:, q, q].real
-    tau = np.zeros_like(r)
-    tau[active] = (aqq[active] - app[active]) / (2.0 * r[active])
-    sign = np.where(tau >= 0, 1.0, -1.0)
-    t = sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    t = np.where(active, t, 0.0)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = (t * c) * phase  # complex sine
-
-    # A <- J^H A J, J = [[c, s], [-conj(s), c]] acting on (p, q)
-    col_p = c[:, None] * a[:, :, p] - np.conj(s)[:, None] * a[:, :, q]
-    col_q = s[:, None] * a[:, :, p] + c[:, None] * a[:, :, q]
-    a[:, :, p] = col_p
-    a[:, :, q] = col_q
-    row_p = c[:, None] * a[:, p, :] - s[:, None] * a[:, q, :]
-    row_q = np.conj(s)[:, None] * a[:, p, :] + c[:, None] * a[:, q, :]
-    a[:, p, :] = row_p
-    a[:, q, :] = row_q
-    # exact zeros on the annihilated pair keep the sweep monotone
-    a[active, p, q] = 0.0
-    a[active, q, p] = 0.0
-
-    vp = c[:, None] * v[:, :, p] - np.conj(s)[:, None] * v[:, :, q]
-    vq = s[:, None] * v[:, :, p] + c[:, None] * v[:, :, q]
-    v[:, :, p] = vp
-    v[:, :, q] = vq
-
-
-def _off_norm(a: np.ndarray) -> np.ndarray:
-    m = a.shape[-1]
-    mask = ~np.eye(m, dtype=bool)
-    return np.sqrt(np.sum(np.abs(a[:, mask]) ** 2, axis=1))
+    """X with up @ X = rhs (up upper-triangular), batched over leading axes."""
+    return np.linalg.solve(_as_square(up), np.asarray(rhs, dtype=np.complex128))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each eigenvector real-positive."""
-    idx = np.argmax(np.abs(v), axis=1)  # (batch, m)
-    b = np.arange(v.shape[0])[:, None]
-    lead = v[b, idx, np.arange(v.shape[2])[None, :]]
+    idx = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    lead = np.take_along_axis(v, idx, axis=-2)
     mag = np.abs(lead)
-    rot = np.where(mag > 0, np.conj(lead) / np.where(mag > 0, mag, 1.0), 1.0)
-    return v * rot[:, None, :]
+    return v * np.where(mag > 0, np.conj(lead) / np.where(mag > 0, mag, 1.0), 1.0)
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of Hermitian matrices via cyclic Jacobi sweeps.
+    """Eigendecomposition of Hermitian matrices.
 
     Returns (eigenvalues descending, eigenvectors as columns); accepts
-    stacks (..., M, M). Deterministic: fixed row-cyclic pivot order and
-    a fixed phase convention on the eigenvectors.
+    stacks (..., M, M). Deterministic, with a fixed phase convention on
+    the eigenvectors.
     """
-    stack, lead = _as_stack(a)
-    check_hermitian(stack)
-    b, m = stack.shape[0], stack.shape[1]
-    work = 0.5 * (stack + np.conj(np.swapaxes(stack, -2, -1)))
-    v = np.broadcast_to(np.eye(m, dtype=np.complex128), (b, m, m)).copy()
-    # normalize each slice to unit Frobenius scale; rotations preserve it
-    scale = np.maximum(np.linalg.norm(work, axis=(-2, -1)), np.finfo(float).tiny)
-    work /= scale[:, None, None]
-    live = np.ones(b, dtype=bool)
-    sweeps = 0
-    while True:
-        live &= _off_norm(work) > _JACOBI_TOL
-        if not live.any():
-            break
-        if sweeps >= _MAX_SWEEPS:
-            raise EigConvergenceError(float(np.max(_off_norm(work))), sweeps)
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                _jacobi_rotate(work, v, p, q, live)
-        sweeps += 1
-    lam = np.real(np.einsum("bii->bi", work)) * scale[:, None]
-    order = np.argsort(-lam, axis=1, kind="stable")
-    lam = np.take_along_axis(lam, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    v = _fix_phase(v)
-    if lead:
-        return lam.reshape(lead + (m,)), v.reshape(lead + (m, m))
-    return lam[0], v[0]
+    a = _as_square(a)
+    check_hermitian(a)
+    lam, v = np.linalg.eigh(0.5 * (a + _herm(a)))
+    return lam[..., ::-1], _fix_phase(v[..., ::-1])
 
 
 def gevd(r_yy: np.ndarray, r_nn: np.ndarray) -> PencilDecomposition:
@@ -234,9 +113,6 @@ def gevd(r_yy: np.ndarray, r_nn: np.ndarray) -> PencilDecomposition:
         raise ValueError(f"pencil shape mismatch: {r_yy.shape} vs {r_nn.shape}")
     low = cholesky(r_nn)
     t = solve_lower(low, r_yy)  # L^-1 R_yy
-    w = np.conj(np.swapaxes(solve_lower(low, np.conj(np.swapaxes(t, -2, -1))), -2, -1))
-    w = 0.5 * (w + np.conj(np.swapaxes(w, -2, -1)))
-    lam, u = hermitian_eig(w)
-    q = low @ u
-    sigma_n = np.ones_like(lam)
-    return PencilDecomposition(q=q, sigma_y=lam, sigma_n=sigma_n)
+    w = _herm(solve_lower(low, _herm(t)))  # L^-1 R_yy L^-H
+    lam, u = hermitian_eig(0.5 * (w + _herm(w)))
+    return PencilDecomposition(q=low @ u, sigma_y=lam, sigma_n=np.ones_like(lam))

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioClip, resample
+from .errors import EgomwfError
 from .pipeline import EnhanceResult
+from .stft import frame_view, overlap_add
 
 SNR_CAP_DB = 120.0
 
@@ -32,7 +34,7 @@ _STOI_DYN_RANGE_DB = 40.0
 _EPS = np.finfo(np.float64).eps
 
 
-class MetricsError(Exception):
+class MetricsError(EgomwfError):
     pass
 
 
@@ -86,9 +88,7 @@ def snr_db(speech: AudioClip, noise: AudioClip) -> float:
 
 
 def _stoi_frames(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    n_frames = (x.size - _STOI_FRAME) // _STOI_HOP + 1
-    idx = np.arange(n_frames)[:, None] * _STOI_HOP + np.arange(_STOI_FRAME)[None, :]
-    return x[idx] * window
+    return frame_view(x, _STOI_FRAME, _STOI_HOP) * window
 
 
 def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,13 +99,7 @@ def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     yf = _stoi_frames(y, window)
     energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
     keep = energies > np.max(energies) - _STOI_DYN_RANGE_DB
-    xf, yf = xf[keep], yf[keep]
-    n_out = (xf.shape[0] - 1) * _STOI_HOP + _STOI_FRAME if xf.shape[0] else 0
-    xs = np.zeros(n_out)
-    ys = np.zeros(n_out)
-    for i in range(xf.shape[0]):
-        xs[i * _STOI_HOP : i * _STOI_HOP + _STOI_FRAME] += xf[i]
-        ys[i * _STOI_HOP : i * _STOI_HOP + _STOI_FRAME] += yf[i]
+    xs, ys = overlap_add(np.stack([xf[keep], yf[keep]]), _STOI_HOP)
     return xs, ys
 
 
@@ -149,20 +143,16 @@ def stoi(clean: AudioClip, processed: AudioClip, rate_hz: int | None = None) -> 
             f"only {n_frames} non-silent frames; need {_STOI_SEG} (~384 ms of speech)"
         )
     clip_gain = 10.0 ** (-_STOI_BETA_DB / 20.0)
-    total = 0.0
-    count = 0
-    for m in range(_STOI_SEG, n_frames + 1):
-        xs = xb[:, m - _STOI_SEG : m]
-        ys = yb[:, m - _STOI_SEG : m]
-        alpha = np.sqrt(np.sum(xs**2, axis=1) / (np.sum(ys**2, axis=1) + _EPS))
-        ys_clip = np.minimum(alpha[:, None] * ys, (1.0 + clip_gain) * xs)
-        xc = xs - np.mean(xs, axis=1, keepdims=True)
-        yc = ys_clip - np.mean(ys_clip, axis=1, keepdims=True)
-        num = np.sum(xc * yc, axis=1)
-        den = np.linalg.norm(xc, axis=1) * np.linalg.norm(yc, axis=1) + _EPS
-        total += float(np.sum(num / den))
-        count += _STOI_N_BANDS
-    return total / count
+    # every 30-frame segment at once: (bands, segments, 30)
+    xs = frame_view(xb, _STOI_SEG, 1)
+    ys = frame_view(yb, _STOI_SEG, 1)
+    alpha = np.sqrt(np.sum(xs**2, axis=2) / (np.sum(ys**2, axis=2) + _EPS))
+    ys_clip = np.minimum(alpha[:, :, None] * ys, (1.0 + clip_gain) * xs)
+    xc = xs - np.mean(xs, axis=2, keepdims=True)
+    yc = ys_clip - np.mean(ys_clip, axis=2, keepdims=True)
+    num = np.sum(xc * yc, axis=2)
+    den = np.linalg.norm(xc, axis=2) * np.linalg.norm(yc, axis=2) + _EPS
+    return float(np.mean(num / den))
 
 
 def evaluate(

@@ -16,13 +16,14 @@ import numpy as np
 from .audio_io import AudioClip, resample
 from .config import EnhanceConfig
 from .covariance import estimate_correlations
+from .errors import EgomwfError
 from .filters import METHOD_MWF, FilterBank, build_filterbank
 from .scenegen import make_oracle_mask
 from .spp import SppMask, estimate_spp, select_spp_channel
 from .stft import StftGrid, analyze, synthesize
 
 
-class PipelineError(Exception):
+class PipelineError(EgomwfError):
     pass
 
 
@@ -50,7 +51,7 @@ def apply_filterbank(grid: StftGrid, fb: FilterBank) -> np.ndarray:
         raise PipelineError(
             f"grid has {grid.n_bins} bins but filterbank has {fb.weights.shape[0]}"
         )
-    return np.einsum("fm,flm->fl", np.conj(fb.weights), grid.data)
+    return (grid.data @ np.conj(fb.weights)[:, :, None])[:, :, 0]
 
 
 def _single_channel_grid(data: np.ndarray, like: StftGrid) -> StftGrid:

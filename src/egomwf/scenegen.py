@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioClip, read_wav, resample, write_wav
+from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition
-from .spp import SppMask
+from .spp import SPP_MODES, SppMask
 from .stft import StftParams, analyze
 
 SPEED_OF_SOUND = 343.0
@@ -26,10 +27,8 @@ N_ARRAY_MICS = 12
 N_ROTORS = 4
 DELAY_FILTER_TAPS = 32
 
-SPP_MODES = ("internal", "external", "oracle")
 
-
-class SceneError(Exception):
+class SceneError(EgomwfError):
     pass
 
 

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EgomwfError
 from .stft import StftGrid
 
+SPP_MODES = ("internal", "external", "oracle")
 
-class SppError(Exception):
+
+class SppError(EgomwfError):
     pass
 
 

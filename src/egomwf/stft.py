@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioClip
+from .errors import EgomwfError
 
 
-class StftError(Exception):
+class StftError(EgomwfError):
     pass
 
 
@@ -94,6 +95,30 @@ class StftGrid:
         return StftGrid(self.data[:, :, list(channels)], self.params, self.n_samples)
 
 
+def frame_view(x: np.ndarray, size: int, hop: int) -> np.ndarray:
+    """Read-only view (..., frames, size) of the full frames of x along its
+    last axis, frame f starting at sample f*hop."""
+    return np.lib.stride_tricks.sliding_window_view(x, size, axis=-1)[..., ::hop, :]
+
+
+def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frames (..., F, N) placed hop samples apart: (..., (F-1)*hop + N).
+
+    Each output sample adds its frames in increasing frame order, the
+    same order as a frame-by-frame loop, so the sums match it bit for bit.
+    """
+    n_frames, size = frames.shape[-2:]
+    k = -(-size // hop)  # frames overlapping one hop-sized block
+    lead = frames.shape[:-2]
+    blocks = np.zeros(lead + (n_frames, k * hop))
+    blocks[..., :size] = frames
+    blocks = blocks.reshape(lead + (n_frames, k, hop))
+    out = np.zeros(lead + (n_frames + k - 1, hop))
+    for j in range(k - 1, -1, -1):
+        out[..., j : j + n_frames, :] += blocks[..., j, :]
+    return out.reshape(lead + (-1,))[..., : (n_frames - 1) * hop + size]
+
+
 def analyze(clip: AudioClip, params: StftParams | None = None) -> StftGrid:
     """Windowed one-sided STFT of every channel.
 
@@ -113,8 +138,7 @@ def analyze(clip: AudioClip, params: StftParams | None = None) -> StftGrid:
     n_frames = -(-n // hop)
     padded = np.zeros((clip.n_channels, (n_frames - 1) * hop + nfft))
     padded[:, :n] = clip.samples
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(nfft)[None, :]
-    frames = padded[:, idx] * params.window_values()  # (ch, frames, fft)
+    frames = frame_view(padded, nfft, hop) * params.window_values()  # (ch, frames, fft)
     spec = np.fft.rfft(frames, axis=2)  # (ch, frames, bins)
     return StftGrid(spec.transpose(2, 1, 0), params, n_samples=n)
 
@@ -129,12 +153,7 @@ def synthesize(grid: StftGrid) -> AudioClip:
     params = grid.params
     nfft, hop = params.fft_size, params.hop
     w = params.window_values()
-    frames_t = np.fft.irfft(grid.data.transpose(2, 1, 0), n=nfft, axis=2) * w
-    n_frames = grid.n_frames
-    total = (n_frames - 1) * hop + nfft
-    out = np.zeros((grid.n_channels, total))
-    for f in range(n_frames):
-        out[:, f * hop : f * hop + nfft] += frames_t[:, f, :]
+    out = overlap_add(np.fft.irfft(grid.data.transpose(2, 1, 0), n=nfft, axis=2) * w, hop)
     if grid.n_samples is not None:
         out = out[:, : grid.n_samples]
     return AudioClip(out, params.sample_rate_hz)

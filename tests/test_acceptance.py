@@ -269,6 +269,7 @@ def test_acceptance_06_end_to_end_oracle(speech_wav):
 # ----------------------------------------------------------- criteria 7 & 8
 
 
+@pytest.mark.slow
 def test_acceptance_07_directional_trends(sweep_3seed):
     means = _ispp_cell_means(sweep_3seed)
     passing = 0
@@ -295,6 +296,7 @@ def test_acceptance_07_directional_trends(sweep_3seed):
     _verdict(7, "directional-trends", ok, detail)
 
 
+@pytest.mark.slow
 def test_acceptance_08_array_size_monotonicity(sweep_3seed):
     means = _ispp_cell_means(sweep_3seed)
     by_size = {
@@ -355,6 +357,7 @@ def test_acceptance_09_metric_self_tests(speech_clip):
 # ------------------------------------------------------------- criterion 10
 
 
+@pytest.mark.slow
 def test_acceptance_10_full_sweep_runtime_and_reproducibility(speech_wav, tmp_path):
     t0 = time.perf_counter()
     rows_a = run_sweep(speech_wav, seeds=[0], duration_s=10.0)

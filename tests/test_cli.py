@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from egomwf.audio_io import read_wav
+from egomwf.audio_io import AudioClip, read_wav, write_wav
 from egomwf.cli import main, run_sweep, write_sweep_outputs
 from egomwf.config import ConfigError, EnhanceConfig, load_config, parse_config
 from egomwf.metrics import stoi
@@ -161,6 +162,42 @@ def test_cmd_enhance_processing_error_exit_3(tmp_path, scene_dir, config_file, s
         ]
     )
     assert code == 3
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cmd_enhance_clip_shorter_than_one_frame_exit_3(tmp_path, scene_dir, config_file, capsys):
+    clip = read_wav(scene_dir / "mixture.wav")
+    short = tmp_path / "short.wav"
+    write_wav(AudioClip(clip.samples[:, :300], clip.sample_rate_hz), short, "32f")
+    code = main(["enhance", "--input", str(short), "--output", str(tmp_path / "o.wav"),
+                 "--config", config_file])
+    assert code == 3
+    _assert_one_line_error(capsys)
+
+
+def test_cmd_enhance_singular_gsc_gram_exit_3(tmp_path, scene_dir, capsys):
+    # silent noise-reference mics and no diagonal loading leave B^H R_nn B = 0
+    clip = read_wav(scene_dir / "mixture.wav")
+    samples = clip.samples.copy()
+    samples[12:16] = 0.0
+    dead = tmp_path / "dead_refs.wav"
+    write_wav(AudioClip(samples, clip.sample_rate_hz), dead, "32f")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "partition": {"speech_noise_channels": [0, 1, 2, 3], "noise_only_channels": [12, 13, 14, 15]},
+        "method": "pk-mwf",
+        "delta": 0.0,
+    }))
+    code = main(["enhance", "--input", str(dead), "--output", str(tmp_path / "o.wav"),
+                 "--config", str(cfg)])
+    assert code == 3
+    _assert_one_line_error(capsys)
 
 
 def test_cmd_enhance_oracle_mode(tmp_path, scene_dir, config_file):
@@ -487,3 +524,22 @@ def test_cli_output_matches_library_bytes(tmp_path, scene_dir, config_file):
     out_lib = tmp_path / "lib.wav"
     write_wav(result.enhanced, out_lib, "32f")
     assert out_cli.read_bytes() == out_lib.read_bytes()
+
+
+def test_sweep_marks_package_error_row_failed(speech_wav, monkeypatch):
+    import egomwf.cli as cli
+    from egomwf.filters import FilterError
+    from egomwf.scenegen import default_suite
+
+    cells = default_suite(speech_wav, seed=0)[:2]
+    real = cli.run_cell
+
+    def broken(scene, cell):
+        if cell is cells[0]:
+            raise FilterError("singular noise-reference Gram matrix")
+        return real(scene, cell)
+
+    monkeypatch.setattr(cli, "run_cell", broken)
+    rows = cli._run_scene_group((replace(cells[0].scene, duration_s=2.0), cells))
+    assert rows[0]["status"] == "failed: singular noise-reference Gram matrix"
+    assert rows[1]["status"] == "ok"

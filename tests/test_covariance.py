@@ -149,3 +149,35 @@ def test_regularize_rejects_negative_delta():
     st = _stats(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         regularize(st, -1.0)
+
+
+def test_stacked_products_match_per_bin_loop(rng):
+    grid = _make_grid(rng, bins=33, frames=70, channels=6)
+    beta = (rng.uniform(size=(grid.n_bins, 70)) > 0.3).astype(np.uint8)
+    channels = [5, 1, 3, 0]
+    stats = estimate_correlations(grid, _mask_from(beta), channels)
+    for st in stats:
+        y = grid.data[st.bin_index][:, channels]  # (frames, M)
+        on = beta[st.bin_index].astype(bool)
+        ref_yy = y[on].T @ y[on].conj() / on.sum()
+        ref_nn = y[~on].T @ y[~on].conj() / (~on).sum()
+        assert np.linalg.norm(st.r_yy - ref_yy) <= 1e-12 * np.linalg.norm(ref_yy)
+        assert np.linalg.norm(st.r_nn - ref_nn) <= 1e-12 * np.linalg.norm(ref_nn)
+
+
+def test_r_nn_psd_with_one_inactive_frame_beside_loud_speech(rng):
+    # r_nn from a single quiet frame must stay an exact rank-1 PSD matrix;
+    # a "total minus speech-active" estimate would lose it to cancellation
+    grid = _make_grid(rng, frames=50)
+    data = grid.data.copy()
+    data[:, 1:, :] *= 1e6
+    grid = StftGrid(data, grid.params)
+    beta = np.ones((grid.n_bins, 50), dtype=np.uint8)
+    beta[:, 0] = 0
+    for st in estimate_correlations(grid, _mask_from(beta), [0, 1, 2, 3]):
+        assert st.l_off == 1
+        y = grid.data[st.bin_index, 0, :]
+        ref = np.outer(y, y.conj())
+        assert np.linalg.norm(st.r_nn - ref) <= 1e-12 * np.linalg.norm(ref)
+        eig = np.linalg.eigvalsh(st.r_nn)
+        assert eig.min() >= -1e-12 * eig.max()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from egomwf.audio_io import AudioClip
+from egomwf import metrics
+from egomwf.audio_io import AudioClip, resample
 from egomwf.config import EnhanceConfig
 from egomwf.metrics import SNR_CAP_DB, MetricsError, evaluate, snr_db, stoi
 from egomwf.pipeline import enhance
@@ -186,3 +187,65 @@ def test_evaluate_end_to_end_improves(default_scene):
     as_dict = report.to_dict()
     assert as_dict["method"] == "pk-mwf"
     assert as_dict["spp_mode"] == "oracle"
+
+
+# ------------------------------------------------- loop references for STOI
+
+
+def _remove_silent_frames_loop(x, y):
+    """Frame-by-frame form of metrics._remove_silent_frames."""
+    frame, hop = 256, 128
+    window = np.hanning(frame + 2)[1:-1]
+    n_frames = (x.size - frame) // hop + 1
+    xf = np.array([x[i * hop : i * hop + frame] * window for i in range(n_frames)])
+    yf = np.array([y[i * hop : i * hop + frame] * window for i in range(n_frames)])
+    energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + np.finfo(float).eps)
+    keep = energies > np.max(energies) - 40.0
+    xf, yf = xf[keep], yf[keep]
+    xs = np.zeros((xf.shape[0] - 1) * hop + frame)
+    ys = np.zeros_like(xs)
+    for i in range(xf.shape[0]):
+        xs[i * hop : i * hop + frame] += xf[i]
+        ys[i * hop : i * hop + frame] += yf[i]
+    return xs, ys
+
+
+def _stoi_loop(x, y):
+    """Segment-by-segment STOI on 10 kHz signals."""
+    eps = np.finfo(float).eps
+    x, y = _remove_silent_frames_loop(x, y)
+    obm = metrics._third_octave_matrix()
+    xb = metrics._band_envelopes(x, obm)
+    yb = metrics._band_envelopes(y, obm)
+    clip_gain = 10.0 ** (15.0 / 20.0)
+    scores = []
+    for m in range(30, xb.shape[1] + 1):
+        for j in range(xb.shape[0]):
+            xs = xb[j, m - 30 : m]
+            ys = yb[j, m - 30 : m]
+            alpha = np.sqrt(np.sum(xs**2) / (np.sum(ys**2) + eps))
+            ys_clip = np.minimum(alpha * ys, (1.0 + clip_gain) * xs)
+            xc = xs - xs.mean()
+            yc = ys_clip - ys_clip.mean()
+            scores.append(np.sum(xc * yc) / (np.linalg.norm(xc) * np.linalg.norm(yc) + eps))
+    return float(np.mean(scores))
+
+
+def test_remove_silent_frames_matches_loop(rng):
+    x = rng.standard_normal(20000)
+    x[5000:9000] *= 1e-4  # frames far below the loudest get dropped
+    y = x + 0.3 * rng.standard_normal(20000)
+    got = metrics._remove_silent_frames(x, y)
+    ref = _remove_silent_frames_loop(x, y)
+    assert got[0].size < x.size
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_stoi_matches_segment_loop(speech_clip, rng):
+    x = speech_clip.samples[0, :40000]
+    y = x + 0.5 * np.std(x) * rng.standard_normal(x.size)
+    x10 = resample(_clip(x), 10000).samples[0]
+    y10 = resample(_clip(y), 10000).samples[0]
+    assert abs(stoi(_clip(x), _clip(y)) - _stoi_loop(x10, y10)) <= 1e-12

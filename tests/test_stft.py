@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from egomwf.audio_io import AudioClip
-from egomwf.stft import StftError, StftGrid, StftParams, analyze, sqrt_hann_periodic, synthesize
+from egomwf.stft import (
+    StftError,
+    StftGrid,
+    StftParams,
+    analyze,
+    overlap_add,
+    sqrt_hann_periodic,
+    synthesize,
+)
 
 
 def test_window_cola():
@@ -129,3 +137,39 @@ def test_sqrt_hann_is_periodic():
     # periodic (DFT-even) Hann: w[0] = 0 and w[256] = 1 exactly
     assert w[0] == 0.0
     assert w[256] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_analyze_matches_per_frame_reference(rng):
+    """The strided framing gives exactly the spectra of explicit frames."""
+    params = StftParams()
+    nfft, hop = params.fft_size, params.hop
+    n = 5 * hop + 37  # last frame zero-padded
+    x = rng.standard_normal((3, n))
+    grid = analyze(AudioClip(x, 16000), params)
+    w = params.window_values()
+    for c in range(3):
+        for f in range(grid.n_frames):
+            frame = np.zeros(nfft)
+            seg = x[c, f * hop : f * hop + nfft]
+            frame[: seg.size] = seg
+            assert np.array_equal(grid.data[:, f, c], np.fft.rfft(frame * w))
+
+
+@pytest.mark.parametrize("nfft, hop", [(512, 256), (16, 4), (16, 5), (16, 16)])
+def test_overlap_add_matches_loop(rng, nfft, hop):
+    frames = rng.standard_normal((2, 9, nfft))
+    ref = np.zeros((2, 8 * hop + nfft))
+    for f in range(9):
+        ref[:, f * hop : f * hop + nfft] += frames[:, f, :]
+    assert np.array_equal(overlap_add(frames, hop), ref)
+
+
+def test_synthesize_matches_loop_overlap_add(rng):
+    params = StftParams()
+    nfft, hop = params.fft_size, params.hop
+    grid = analyze(AudioClip(rng.standard_normal((2, 3000)), 16000), params)
+    frames = np.fft.irfft(grid.data.transpose(2, 1, 0), n=nfft, axis=2) * params.window_values()
+    ref = np.zeros((2, (grid.n_frames - 1) * hop + nfft))
+    for f in range(grid.n_frames):
+        ref[:, f * hop : f * hop + nfft] += frames[:, f, :]
+    assert np.array_equal(synthesize(grid).samples, ref[:, :3000])
