@@ -20,7 +20,7 @@ from .filters import (
     compute_pkmwf,
 )
 from .gevd import PencilDecomposition, cholesky, gevd, hermitian_eig
-from .metrics import MetricsReport, evaluate, snr_db, stoi
+from .metrics import MetricsReport, evaluate, evaluate_clips, snr_db, stoi
 from .pipeline import EnhanceResult, apply_filterbank, enhance
 from .scenegen import (
     SceneConfig,
@@ -45,7 +45,7 @@ __all__ = [
     "ChannelPartition", "FilterBank", "build_selection_blocking",
     "compute_mwf", "compute_gsc", "compute_pkmwf", "build_filterbank",
     "EnhanceResult", "apply_filterbank", "enhance",
-    "MetricsReport", "snr_db", "stoi", "evaluate",
+    "MetricsReport", "snr_db", "stoi", "evaluate", "evaluate_clips",
     "SceneConfig", "SceneOutput", "steering_delay_gain",
     "synth_ego_noise", "render_scene", "default_suite",
     "EnhanceConfig", "parse_config", "load_config",

@@ -24,7 +24,7 @@ from .audio_io import AudioClip, AudioError, read_wav, write_wav
 from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
 from .filters import METHODS
-from .metrics import evaluate, snr_db, stoi
+from .metrics import evaluate, evaluate_clips
 from .pipeline import EnhanceResult, enhance
 from .scenegen import (
     DEFAULT_ARRAY_SIZES,
@@ -169,25 +169,20 @@ def _reference_channel(path: str) -> AudioClip:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
-        clean = _reference_channel(args.clean)
-        processed = _reference_channel(args.processed)
-        noisy = _reference_channel(args.noisy)
-        report: dict = {
-            "stoi_in": stoi(clean, noisy),
-            "stoi_out": stoi(clean, processed),
-            "flags": [],
-        }
-        report["stoi_improvement"] = report["stoi_out"] - report["stoi_in"]
+        shadow_speech = shadow_noise = None
         if args.shadow_speech and args.shadow_noise:
-            shadow_s = _reference_channel(args.shadow_speech)
-            shadow_n = _reference_channel(args.shadow_noise)
-            noise_in = AudioClip(noisy.samples - clean.samples, clean.sample_rate_hz)
-            report["snr_in_db"] = snr_db(clean, noise_in)
-            report["snr_out_db"] = snr_db(shadow_s, shadow_n)
-            report["snr_improvement_db"] = report["snr_out_db"] - report["snr_in_db"]
-        else:
-            report["snr_in_db"] = report["snr_out_db"] = report["snr_improvement_db"] = None
-            report["flags"].append("no_ground_truth")
+            shadow_speech = _reference_channel(args.shadow_speech)
+            shadow_noise = _reference_channel(args.shadow_noise)
+        report = evaluate_clips(
+            _reference_channel(args.clean),
+            _reference_channel(args.noisy),
+            _reference_channel(args.processed),
+            shadow_speech,
+            shadow_noise,
+        ).to_dict()
+        # there is no run to label the report with
+        for key in ("method", "partition", "spp_mode"):
+            del report[key]
         Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
     except PROCESSING_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,10 @@ class ConfigError(EgomwfError):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in violations))
 
+    def __reduce__(self):
+        # rebuild from the violations, not from the formatted message
+        return type(self), (self.violations,)
+
 
 @dataclass(frozen=True)
 class EnhanceConfig:

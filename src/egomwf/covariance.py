@@ -1,12 +1,14 @@
-"""Per-bin correlation matrices from the STFT grid and an activity mask.
+"""Stacked correlation matrices from the STFT grid and an activity mask.
 
 Batch estimation over the whole file: speech-plus-noise frames feed
 R_yy, inactive frames feed R_nn, each averaged by its own frame count.
+The result is one BinStatistics whose fields carry a leading bins axis;
+stats[k] is the single-bin view of bin k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,18 +21,31 @@ DEFAULT_LOADING = 1e-6
 
 @dataclass(frozen=True)
 class BinStatistics:
-    """Hermitian (r_yy, r_nn) pair for one frequency bin.
+    """Hermitian (r_yy, r_nn) pairs for one frequency bin or a stack of bins.
 
+    A single bin holds (M, M) matrices and int counts; a stack holds
+    (bins, M, M) matrices and (bins,) int arrays; stats[k] is the bin-k
+    view, and iterating a stack yields the views in bin order.
     l_on/l_off count the speech-active and inactive frames that entered
     each average; a zero count leaves the corresponding matrix zero and
-    is resolved by the filter stage's per-bin fallbacks.
+    is resolved by the filter stage's fallbacks.
     """
 
     r_yy: np.ndarray
     r_nn: np.ndarray
-    l_on: int
-    l_off: int
-    bin_index: int
+    l_on: int | np.ndarray
+    l_off: int | np.ndarray
+    bin_index: int | np.ndarray
+
+    def __getitem__(self, k: int) -> "BinStatistics":
+        """Single-bin view of bin k of a stack."""
+        return BinStatistics(
+            r_yy=self.r_yy[k],
+            r_nn=self.r_nn[k],
+            l_on=int(self.l_on[k]),
+            l_off=int(self.l_off[k]),
+            bin_index=int(self.bin_index[k]),
+        )
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
@@ -39,8 +54,8 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 
 def estimate_correlations(
     grid: StftGrid, mask: SppMask, channels: Sequence[int]
-) -> list[BinStatistics]:
-    """Accumulate masked outer products per bin.
+) -> BinStatistics:
+    """Accumulate masked outer products for every bin at once.
 
     r_yy(k) averages y y^H over frames with beta(k, l) = 1, r_nn(k) over
     the complement; y is restricted to `channels` in the given order.
@@ -69,39 +84,27 @@ def estimate_correlations(
         acc = (y * w[:, None, :]) @ yh
         return _hermitize(acc / np.maximum(count, 1.0)[:, None, None])
 
-    r_yy = masked_average(beta, l_on)
-    r_nn = masked_average(1.0 - beta, l_off)
-    return [
-        BinStatistics(
-            r_yy=r_yy[k],
-            r_nn=r_nn[k],
-            l_on=int(l_on[k]),
-            l_off=int(l_off[k]),
-            bin_index=k,
-        )
-        for k in range(grid.n_bins)
-    ]
+    return BinStatistics(
+        r_yy=masked_average(beta, l_on),
+        r_nn=masked_average(1.0 - beta, l_off),
+        l_on=l_on.astype(np.int64),
+        l_off=l_off.astype(np.int64),
+        bin_index=np.arange(grid.n_bins),
+    )
 
 
 def regularize(stats: BinStatistics, delta: float = DEFAULT_LOADING) -> BinStatistics:
-    """Diagonal loading of r_nn by delta times its mean eigenvalue.
+    """Diagonal loading of r_nn by delta times its mean eigenvalue, per bin.
 
-    When r_nn is all-zero (no inactive frames) the loading level falls
+    Where r_nn is all-zero (no inactive frames) the loading level falls
     back to the trace of r_yy so the noise matrix is still invertible.
+    Works on single-bin and stacked statistics alike.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if delta == 0:
         return stats
-    m = stats.r_nn.shape[0]
-    level = np.trace(stats.r_nn).real / m
-    if level == 0:
-        level = np.trace(stats.r_yy).real / m
-    loaded = stats.r_nn + (delta * level) * np.eye(m)
-    return BinStatistics(
-        r_yy=stats.r_yy,
-        r_nn=loaded,
-        l_on=stats.l_on,
-        l_off=stats.l_off,
-        bin_index=stats.bin_index,
-    )
+    m = stats.r_nn.shape[-1]
+    level = np.trace(stats.r_nn, axis1=-2, axis2=-1).real / m
+    level = np.where(level == 0, np.trace(stats.r_yy, axis1=-2, axis2=-1).real / m, level)
+    return replace(stats, r_nn=stats.r_nn + (delta * level)[..., None, None] * np.eye(m))

@@ -1,6 +1,9 @@
-"""Per-bin filter weights: standard MWF and the prior-knowledge MWF.
+"""Filter weights for stacked frequency bins: standard MWF and the
+prior-knowledge MWF.
 
-Both filters share the rank-1 GEVD machinery: the speech covariance is
+One core computes every bin of a stacked BinStatistics at once; the
+single-bin functions compute_mwf and compute_pkmwf are calls into the
+same core. Both filters share the rank-1 GEVD machinery: the speech covariance is
 the best rank-1 PSD fit to R_yy - R_nn in the noise-whitened metric, and
 the weight vector applies the Wiener gain 1 - sigma_n1/sigma_y1 along
 the principal generalized eigendirection. The prior-knowledge variant
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -131,51 +133,6 @@ def _wiener_gain(sigma_y1: np.ndarray, sigma_n1: np.ndarray) -> tuple[np.ndarray
     return np.maximum(raw, 0.0), raw < 0
 
 
-def _rank1_weights(
-    r_yy: np.ndarray, r_nn: np.ndarray, ref: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched MWF weights for stacked regularized pencils.
-
-    Returns (weights (..., M), clamped flags (...,)).
-    """
-    dec = gevd(r_yy, r_nn)
-    gain, clamped = _wiener_gain(dec.sigma_y[..., 0], dec.sigma_n[..., 0])
-    m = dec.q.shape[-1]
-    # u = diag(g, 0, ...) Q^H e_d has only its first entry populated
-    u = np.zeros(dec.q.shape[:-2] + (m,), dtype=np.complex128)
-    u[..., 0] = gain * np.conj(dec.q[..., ref, 0])
-    qh = np.conj(np.swapaxes(dec.q, -2, -1))
-    w = np.linalg.solve(qh, u[..., None])[..., 0]
-    return w, clamped
-
-
-def compute_mwf(stats: BinStatistics, ref: int = 0) -> tuple[np.ndarray, str]:
-    """Standard MWF weights for one bin; returns (weights, status).
-
-    Fallbacks: no speech frames suppress the bin (w = 0), no noise
-    frames pass it through (w = e_d). A negative estimated speech power
-    clamps the gain to zero and flags the bin.
-    """
-    m = stats.r_yy.shape[0]
-    if not 0 <= ref < m:
-        raise FilterError(f"ref index {ref} out of range for M={m}")
-    fallback = _count_fallback(stats, ref, m)
-    if fallback is not None:
-        return fallback
-    w, clamped = _rank1_weights(stats.r_yy, stats.r_nn, ref)
-    return w, (STATUS_CLAMPED if bool(clamped) else STATUS_OK)
-
-
-def _count_fallback(stats: BinStatistics, ref: int, m: int) -> tuple[np.ndarray, str] | None:
-    if stats.l_on == 0:
-        return np.zeros(m, dtype=np.complex128), STATUS_NO_SPEECH
-    if stats.l_off == 0:
-        e = np.zeros(m, dtype=np.complex128)
-        e[ref] = 1.0
-        return e, STATUS_NO_NOISE
-    return None
-
-
 def compute_gsc(r_nn: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """LCMV solution in GSC form: C = H - B (B^H R B)^{-1} B^H R H.
 
@@ -197,36 +154,85 @@ def compute_gsc(r_nn: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h - b @ f
 
 
+def _reduced_pencil(
+    r_yy: np.ndarray, r_nn: np.ndarray, partition: ChannelPartition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The pencil the rank-1 fit runs on, plus the GSC matrix C that lifts
+    its solution back to all channels (None without noise-only channels,
+    where the pencil is used as it is)."""
+    if not partition.n_noise_only:
+        return r_yy, r_nn, None
+    c = compute_gsc(r_nn, *build_selection_blocking(partition))
+    ch = np.conj(np.swapaxes(c, -2, -1))
+    return ch @ r_yy @ c, ch @ r_nn @ c, c
+
+
+def _filter(
+    stats: BinStatistics, partition: ChannelPartition, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (..., M) and status codes (...) for single-bin or stacked stats.
+
+    Loads r_nn by delta, then resolves the count fallbacks: no speech
+    frames suppress the bin (w = 0), no noise frames pass it through
+    (w = e_ref), and an all-zero loaded r_nn suppresses it as clamped.
+    The remaining bins go through the GSC stage (only with noise-only
+    channels) and one batched GEVD; a negative estimated speech power
+    clamps the Wiener gain to zero and flags the bin.
+    """
+    m = partition.n_total
+    if stats.r_yy.shape[-1] != m:
+        raise FilterError(f"stats are {stats.r_yy.shape[-1]}-channel but the filter needs M={m}")
+    r_nn = regularize(stats, delta).r_nn
+    ref = partition.ref_channel
+    no_speech = np.asarray(stats.l_on) == 0
+    no_noise = ~no_speech & (np.asarray(stats.l_off) == 0)
+    all_zero = ~(no_speech | no_noise) & (np.trace(r_nn, axis1=-2, axis2=-1).real <= 0)
+    solve = ~(no_speech | no_noise | all_zero)
+
+    weights = np.zeros(solve.shape + (m,), dtype=np.complex128)
+    weights[no_noise, ref] = 1.0
+    clamped = np.array(all_zero)
+    if np.any(solve):
+        r_yy_red, r_nn_red, c = _reduced_pencil(stats.r_yy[solve], r_nn[solve], partition)
+        dec = gevd(r_yy_red, r_nn_red)
+        gain, gain_clamped = _wiener_gain(dec.sigma_y[..., 0], dec.sigma_n[..., 0])
+        clamped[solve] = gain_clamped
+        # u = diag(g, 0, ...) Q^H e_ref has only its first entry populated
+        u = np.zeros(dec.q.shape[:-1], dtype=np.complex128)
+        u[..., 0] = gain * np.conj(dec.q[..., ref, 0])
+        w = np.linalg.solve(np.conj(np.swapaxes(dec.q, -2, -1)), u[..., None])
+        weights[solve] = (w if c is None else c @ w)[..., 0]
+    status = np.select(
+        [no_speech, no_noise, clamped], [STATUS_NO_SPEECH, STATUS_NO_NOISE, STATUS_CLAMPED], STATUS_OK
+    )
+    return weights, status
+
+
+def _all_speech_noise(m: int, ref: int) -> ChannelPartition:
+    return ChannelPartition(tuple(range(m)), (), ref)
+
+
+def compute_mwf(stats: BinStatistics, ref: int = 0) -> tuple[np.ndarray, str]:
+    """Standard MWF weights for one bin; returns (weights, status).
+
+    Fallbacks: no speech frames suppress the bin (w = 0), no noise
+    frames pass it through (w = e_d), and an all-zero r_nn suppresses it
+    as clamped. A negative estimated speech power clamps the gain to
+    zero and flags the bin. No diagonal loading: regularize first.
+    """
+    w, status = _filter(stats, _all_speech_noise(stats.r_yy.shape[-1], ref), 0.0)
+    return w, status.tolist()
+
+
 def compute_pkmwf(stats: BinStatistics, partition: ChannelPartition) -> tuple[np.ndarray, str]:
     """Prior-knowledge MWF weights for one bin; returns (weights, status).
 
     The GSC stage cancels the noise-reference channels, the reduced
     pencil is decomposed, and the weights are lifted back through C.
-    Same per-bin fallbacks as compute_mwf.
+    Same fallbacks as compute_mwf.
     """
-    m = partition.n_total
-    if stats.r_yy.shape[0] != m:
-        raise FilterError(
-            f"stats are {stats.r_yy.shape[0]}x{stats.r_yy.shape[0]} but partition has M={m}"
-        )
-    fallback = _count_fallback(stats, partition.ref_channel, m)
-    if fallback is not None:
-        return fallback
-    h, b = build_selection_blocking(partition)
-    c = compute_gsc(stats.r_nn, h, b)
-    r_red_yy = np.conj(c.T) @ stats.r_yy @ c
-    r_red_nn = np.conj(c.T) @ stats.r_nn @ c
-    w, clamped = _reduced_weights(r_red_yy, r_red_nn, c, partition.ref_channel)
-    return w, (STATUS_CLAMPED if bool(clamped) else STATUS_OK)
-
-
-def _reduced_weights(
-    r_red_yy: np.ndarray, r_red_nn: np.ndarray, c: np.ndarray, ref: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lift batched reduced-pencil MWF weights back through C."""
-    z, clamped = _rank1_weights(r_red_yy, r_red_nn, ref)
-    w = (c @ z[..., None])[..., 0]
-    return w, clamped
+    w, status = _filter(stats, partition, 0.0)
+    return w, status.tolist()
 
 
 def implied_speech_covariance(stats: BinStatistics, partition: ChannelPartition | None = None) -> np.ndarray:
@@ -238,78 +244,41 @@ def implied_speech_covariance(stats: BinStatistics, partition: ChannelPartition 
     keep the result PSD.
     """
     if partition is None:
-        dec = gevd(stats.r_yy, stats.r_nn)
-        top = max(dec.sigma_y[0] - dec.sigma_n[0], 0.0)
-        q1 = dec.q[:, 0]
-        return top * np.outer(q1, np.conj(q1))
-    h, b = build_selection_blocking(partition)
-    c = compute_gsc(stats.r_nn, h, b)
-    dec = gevd(np.conj(c.T) @ stats.r_yy @ c, np.conj(c.T) @ stats.r_nn @ c)
+        partition = _all_speech_noise(stats.r_yy.shape[-1], 0)
+    r_yy_red, r_nn_red, _ = _reduced_pencil(stats.r_yy, stats.r_nn, partition)
+    dec = gevd(r_yy_red, r_nn_red)
     top = max(dec.sigma_y[0] - dec.sigma_n[0], 0.0)
+    h, _ = build_selection_blocking(partition)
     hq1 = h @ dec.q[:, 0]
     return top * np.outer(hq1, np.conj(hq1))
 
 
 def build_filterbank(
-    stats: Sequence[BinStatistics],
+    stats: BinStatistics,
     partition: ChannelPartition,
     method: str,
     delta: float = 1e-6,
 ) -> FilterBank:
-    """Per-bin weights for all bins, with regularization and fallbacks.
+    """Weights for a stack of bins, with regularization and fallbacks.
 
     Methods: "mwf" runs the standard filter on the speech+noise channels
     only; "mwf-with-noise-mics" runs it on all channels; "pk-mwf" adds
-    the blocking constraint. Bins are batched through the GEVD kernel.
+    the blocking constraint. All bins share one batched GEVD.
     """
     if method not in METHODS:
         raise FilterError(f"unknown method {method!r}; expected one of {METHODS}")
+    if np.ndim(stats.l_on) != 1:
+        raise FilterError("build_filterbank needs stacked statistics, one entry per bin")
     eff = partition.without_noise_mics() if method == METHOD_MWF else partition
-    m = eff.n_total
-    ref = eff.ref_channel
-    n_bins = len(stats)
+    solve_part = (
+        _all_speech_noise(eff.n_total, eff.ref_channel) if method == METHOD_MWF_NOISE_MICS else eff
+    )
     t0 = time.perf_counter()
-
-    weights = np.zeros((n_bins, m), dtype=np.complex128)
-    status: list[str] = [STATUS_OK] * n_bins
-    solve_idx: list[int] = []
-    solve_stats: list[BinStatistics] = []
-    for k, st in enumerate(stats):
-        if st.r_yy.shape[0] != m:
-            raise FilterError(
-                f"bin {k} stats are {st.r_yy.shape[0]}-channel but method {method} needs {m}"
-            )
-        fb = _count_fallback(st, ref, m)
-        if fb is not None:
-            weights[k], status[k] = fb
-            continue
-        reg = regularize(st, delta)
-        if np.trace(reg.r_nn).real <= 0:
-            # all-zero bin: nothing to estimate, suppress with zero gain
-            status[k] = STATUS_CLAMPED
-            continue
-        solve_idx.append(k)
-        solve_stats.append(reg)
-
-    if solve_idx:
-        r_yy = np.stack([st.r_yy for st in solve_stats])
-        r_nn = np.stack([st.r_nn for st in solve_stats])
-        if method == METHOD_PKMWF:
-            h, b = build_selection_blocking(eff)
-            c = compute_gsc(r_nn, h, b)
-            ch = np.conj(np.swapaxes(c, -2, -1))
-            w, clamped = _reduced_weights(ch @ r_yy @ c, ch @ r_nn @ c, c, ref)
-        else:
-            w, clamped = _rank1_weights(r_yy, r_nn, ref)
-        for i, k in enumerate(solve_idx):
-            weights[k] = w[i]
-            if clamped[i]:
-                status[k] = STATUS_CLAMPED
-    elapsed = time.perf_counter() - t0
+    weights, status = _filter(stats, solve_part, delta)
     return FilterBank(
         weights=weights,
         method=method,
         partition=eff,
-        per_bin_status=tuple(status),
-        compute_seconds=elapsed,
+        per_bin_status=tuple(status.tolist()),
+        compute_seconds=time.perf_counter() - t0,
     )

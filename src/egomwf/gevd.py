@@ -1,10 +1,11 @@
 """Hermitian GEVD on batched LAPACK.
 
-Cholesky factorization, triangular solves, the Hermitian eigensolver and
-the generalized eigendecomposition of the pencil {R_yy, R_nn} via
-whitening, as thin wrappers over numpy.linalg. Everything accepts
-stacked inputs (..., M, M); LAPACK factors each slice on its own, so a
-slice's result does not depend on what else shares the batch.
+Cholesky factorization, the lower-triangular solve, the Hermitian
+eigensolver and the generalized eigendecomposition of the pencil
+{R_yy, R_nn} via whitening, as thin wrappers over numpy.linalg.
+Everything accepts stacked inputs (..., M, M); LAPACK factors each slice
+on its own, so a slice's result does not depend on what else shares the
+batch.
 
 Convention: gevd() returns Q with R_nn = Q Q^H and R_yy = Q diag(s_y) Q^H,
 i.e. the noise eigenvalues are normalized to one and the ratio sort
@@ -72,11 +73,6 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 def solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """X with low @ X = rhs (low lower-triangular), batched over leading axes."""
     return np.linalg.solve(_as_square(low), np.asarray(rhs, dtype=np.complex128))
-
-
-def solve_upper(up: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with up @ X = rhs (up upper-triangular), batched over leading axes."""
-    return np.linalg.solve(_as_square(up), np.asarray(rhs, dtype=np.complex128))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ correlations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,6 +165,30 @@ def evaluate(
 ) -> MetricsReport:
     """Input/output SNR (via shadow components) and STOI for one run.
 
+    evaluate_clips on the run's enhanced output and shadow components,
+    labelled with the given method, partition and SPP mode or, where
+    they are left empty, with the run's own.
+    """
+    report = evaluate_clips(
+        clean_ref, noisy_ref, result.enhanced, result.shadow_speech, result.shadow_noise
+    )
+    return replace(
+        report,
+        method=method or result.filterbank.method,
+        partition=partition or result.filterbank.partition.describe(),
+        spp_mode=spp_mode or result.mask.source_channel[0],
+    )
+
+
+def evaluate_clips(
+    clean_ref: AudioClip,
+    noisy_ref: AudioClip,
+    enhanced: AudioClip,
+    shadow_speech: AudioClip | None = None,
+    shadow_noise: AudioClip | None = None,
+) -> MetricsReport:
+    """Input/output SNR and STOI from single-channel clips.
+
     The input noise component is noisy_ref - clean_ref; output SNR uses
     the shadow-filtered components. Missing shadows flag the SNR fields
     and leave STOI as the only measure.
@@ -177,10 +201,10 @@ def evaluate(
     rate = clean_ref.sample_rate_hz
 
     snr_in = snr_out = improvement = None
-    if result.shadow_speech is not None and result.shadow_noise is not None:
+    if shadow_speech is not None and shadow_noise is not None:
         noise_in = AudioClip(noisy[None, :] - clean[None, :], rate)
         snr_in = snr_db(clean_ref, noise_in)
-        snr_out = snr_db(result.shadow_speech, result.shadow_noise)
+        snr_out = snr_db(shadow_speech, shadow_noise)
         if abs(snr_in) >= SNR_CAP_DB or abs(snr_out) >= SNR_CAP_DB:
             flags.append("snr_capped")
         improvement = snr_out - snr_in
@@ -188,7 +212,7 @@ def evaluate(
         flags.append("no_ground_truth")
 
     stoi_in = stoi(clean_ref, noisy_ref, rate)
-    stoi_out = stoi(clean_ref, result.enhanced, rate)
+    stoi_out = stoi(clean_ref, enhanced, rate)
     return MetricsReport(
         snr_in_db=snr_in,
         snr_out_db=snr_out,
@@ -196,8 +220,5 @@ def evaluate(
         stoi_in=stoi_in,
         stoi_out=stoi_out,
         stoi_improvement=stoi_out - stoi_in,
-        method=method or result.filterbank.method,
-        partition=partition or result.filterbank.partition.describe(),
-        spp_mode=spp_mode or result.mask.source_channel[0],
         flags=tuple(flags),
     )

@@ -1,6 +1,8 @@
 import json
+import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from egomwf.audio_io import AudioClip, read_wav, write_wav
@@ -82,6 +84,12 @@ def test_parse_config_spp_db_shortcut():
         {"partition": {"speech_noise_channels": [0]}, "spp": {"xi_h1_db": 10.0}}
     )
     assert cfg.spp.xi_h1 == pytest.approx(10.0)
+
+
+def test_config_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(ConfigError(["bad method", "bad mode"])))
+    assert err.violations == ["bad method", "bad mode"]
+    assert str(err) == str(ConfigError(["bad method", "bad mode"]))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -406,6 +414,36 @@ def test_cmd_evaluate_matches_library(tmp_path, scene_dir):
     data = json.loads(report.read_text())
     direct = stoi(read_wav(clean), read_wav(noisy), 16000)
     assert data["stoi_out"] == pytest.approx(direct, abs=1e-12)
+
+
+def test_cmd_evaluate_flags_capped_snr(tmp_path, scene_dir):
+    speech = read_wav(scene_dir / "speech.wav").channel(0)
+    clean = tmp_path / "clean.wav"
+    noisy = tmp_path / "noisy.wav"
+    silent = tmp_path / "silent.wav"
+    write_wav(speech, clean, "32f")
+    write_wav(read_wav(scene_dir / "mixture.wav").channel(0), noisy, "32f")
+    write_wav(AudioClip(np.zeros_like(speech.samples), speech.sample_rate_hz), silent, "32f")
+    report = tmp_path / "rep.json"
+    code = main(
+        [
+            "evaluate",
+            "--clean", str(clean),
+            "--processed", str(noisy),
+            "--noisy", str(noisy),
+            "--shadow-speech", str(clean),
+            "--shadow-noise", str(silent),
+            "--report", str(report),
+        ]
+    )
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["snr_out_db"] == 120.0
+    assert data["flags"] == ["snr_capped"]
+    assert set(data) == {
+        "snr_in_db", "snr_out_db", "snr_improvement_db",
+        "stoi_in", "stoi_out", "stoi_improvement", "flags",
+    }
 
 
 def test_cmd_evaluate_missing_file_exit_3(tmp_path):

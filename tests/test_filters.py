@@ -24,6 +24,17 @@ def _stats(r_yy, r_nn, l_on=10, l_off=10):
     return BinStatistics(r_yy=r_yy, r_nn=r_nn, l_on=l_on, l_off=l_off, bin_index=0)
 
 
+def _stack(stats):
+    """One stacked BinStatistics from single-bin ones."""
+    return BinStatistics(
+        r_yy=np.stack([st.r_yy for st in stats]),
+        r_nn=np.stack([st.r_nn for st in stats]),
+        l_on=np.array([st.l_on for st in stats]),
+        l_off=np.array([st.l_off for st in stats]),
+        bin_index=np.array([st.bin_index for st in stats]),
+    )
+
+
 def _speech_stats(rng, m, power=1.0):
     r_yy, r_nn = rand_speech_pencil(rng, m, power)
     return _stats(r_yy, r_nn)
@@ -253,7 +264,7 @@ def test_filterbank_statuses_and_shape(rng):
         if k == 3:
             l_off = 0
         stats.append(BinStatistics(r_yy, r_nn, l_on=l_on, l_off=l_off, bin_index=k))
-    fb = build_filterbank(stats, part, "pk-mwf")
+    fb = build_filterbank(_stack(stats), part, "pk-mwf")
     assert fb.weights.shape == (6, 4)
     assert fb.per_bin_status[2] == STATUS_NO_SPEECH
     assert np.all(fb.weights[2] == 0)
@@ -270,9 +281,27 @@ def test_filterbank_mwf_drops_noise_channels(rng):
         BinStatistics(*rand_speech_pencil(rng, 3), l_on=5, l_off=5, bin_index=k)
         for k in range(4)
     ]
-    fb = build_filterbank(stats, part, "mwf")
+    fb = build_filterbank(_stack(stats), part, "mwf")
     assert fb.weights.shape == (4, 3)
     assert fb.partition.n_noise_only == 0
+
+
+def _mixed_stack(rng, m):
+    """Bins 0-1 ok, then no-speech, no-noise, all-zero and clamped bins."""
+    stats = []
+    for k in range(6):
+        r_yy, r_nn = rand_speech_pencil(rng, m)
+        l_on, l_off = 8, 8
+        if k == 2:
+            l_on = 0
+        if k == 3:
+            l_off = 0
+        if k == 4:
+            r_yy = r_nn = np.zeros((m, m), complex)
+        if k == 5:
+            r_yy = 0.5 * r_nn
+        stats.append(BinStatistics(r_yy, r_nn, l_on=l_on, l_off=l_off, bin_index=k))
+    return _stack(stats)
 
 
 def test_filterbank_matches_per_bin_ops(rng):
@@ -282,11 +311,27 @@ def test_filterbank_matches_per_bin_ops(rng):
         for k in range(5)
     ]
     delta = 1e-6
-    fb = build_filterbank(stats, part, "pk-mwf", delta)
+    fb = build_filterbank(_stack(stats), part, "pk-mwf", delta)
     for k, st in enumerate(stats):
         w, status = compute_pkmwf(regularize(st, delta), part)
         assert np.allclose(fb.weights[k], w, atol=1e-12)
         assert fb.per_bin_status[k] == status
+
+    # every method, every status: the bank equals its per-bin views bit for bit
+    for method in ("mwf", "mwf-with-noise-mics", "pk-mwf"):
+        mixed = _mixed_stack(rng, 4 if method == "mwf" else 6)
+        fb = build_filterbank(mixed, part, method, delta)
+        assert fb.per_bin_status == (
+            STATUS_OK, STATUS_OK, STATUS_NO_SPEECH, STATUS_NO_NOISE, STATUS_CLAMPED, STATUS_CLAMPED
+        )
+        for k in range(6):
+            view = regularize(mixed[k], delta)
+            if method == "pk-mwf":
+                w, status = compute_pkmwf(view, part)
+            else:
+                w, status = compute_mwf(view, ref=part.ref_channel)
+            assert np.array_equal(fb.weights[k], w)
+            assert fb.per_bin_status[k] == status
 
 
 def test_filterbank_rejects_unknown_method(rng):
@@ -299,6 +344,6 @@ def test_all_zero_bin_suppressed():
     st = BinStatistics(
         np.zeros((3, 3), complex), np.zeros((3, 3), complex), l_on=4, l_off=4, bin_index=0
     )
-    fb = build_filterbank([st], ChannelPartition((0, 1, 2), ()), "mwf")
+    fb = build_filterbank(_stack([st]), ChannelPartition((0, 1, 2), ()), "mwf")
     assert np.all(fb.weights == 0)
     assert fb.per_bin_status[0] == STATUS_CLAMPED
