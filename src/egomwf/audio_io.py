@@ -22,7 +22,7 @@ class AudioError(EgomwfError):
     """Raised for unreadable/unsupported audio files or invalid clips."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AudioClip:
     """Multichannel time-domain signal.
 

@@ -3,6 +3,14 @@
 Exit codes: 0 success, 2 configuration/usage error, 3 processing error.
 JSON for configs and reports, CSV for the sweep table. EGOMWF_THREADS
 caps the worker count of the sweep driver.
+
+The sweep renders each scene once, and its cells share what does not
+depend on method or array size, each part computed on first use: the
+STFT grids of the mixture, speech and noise images, one mask per SPP
+mode, one covariance per mask over the 16 array and propeller channels
+(a cell's statistics are its principal sub-block on the cell's own
+channels) and the input SNR/STOI. Each cell then filters and scores
+through the same pipeline and metrics code as enhance and evaluate.
 """
 
 from __future__ import annotations
@@ -15,28 +23,28 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from . import scenegen
 from .audio_io import AudioClip, AudioError, read_wav, write_wav
 from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
 from .filters import METHODS
-from .metrics import evaluate, evaluate_clips
-from .pipeline import EnhanceResult, enhance
+from .metrics import InputScores, evaluate_clips, score_input, score_output
+from .pipeline import EnhanceResult, InputAnalysis, enhance
 from .scenegen import (
-    DEFAULT_ARRAY_SIZES,
     DEFAULT_SNRS_DB,
     SceneConfig,
+    SceneOutput,
     SweepCell,
     default_suite,
     render_scene,
-    suite_partition,
     write_scene,
 )
 from .spp import SPP_MODES
+from .stft import StftParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,21 +199,38 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def run_cell(scene: "scenegen.SceneOutput", cell: SweepCell) -> dict:
-    """One sweep cell on an already-rendered scene; returns the CSV row."""
-    manifest = scene.manifest
-    ext = manifest["channels"]["external"]
+class SharedScene:
+    """A rendered scene and the work its sweep cells share."""
+
+    def __init__(self, scene: SceneOutput):
+        self.scene = scene
+        channels = scene.manifest["channels"]
+        self.analysis = InputAnalysis(
+            scene.mixture,
+            StftParams(),
+            scene.speech_image,
+            scene.noise_image,
+            channels["array"] + channels["propeller"],
+        )
+
+    @cached_property
+    def inputs(self) -> InputScores:
+        ref = self.scene.manifest["reference_channel"]
+        return score_input(self.scene.speech_image.channel(ref), self.scene.mixture.channel(ref))
+
+
+def run_cell(shared: SharedScene, cell: SweepCell) -> dict:
+    """One sweep cell on its scene's shared work; returns the CSV row."""
+    ext = shared.scene.manifest["channels"]["external"]
     cfg = EnhanceConfig(
         partition=cell.partition,
         spp_mode=cell.spp_mode,
         spp_channel=ext if cell.spp_mode == "external" else None,
         method=cell.method,
     )
-    result = enhance(scene.mixture, cfg, scene.speech_image, scene.noise_image)
-    report = evaluate(
-        result,
-        scene.speech_image.channel(manifest["reference_channel"]),
-        scene.mixture.channel(manifest["reference_channel"]),
+    result = shared.analysis.enhance(cfg)
+    report = score_output(
+        shared.inputs, result.enhanced, result.shadow_speech, result.shadow_noise
     )
     row = cell.key()
     row.update(
@@ -224,11 +249,11 @@ def run_cell(scene: "scenegen.SceneOutput", cell: SweepCell) -> dict:
 
 def _run_scene_group(task: tuple[SceneConfig, list[SweepCell]]) -> list[dict]:
     scene_cfg, cells = task
-    scene = render_scene(scene_cfg)
+    shared = SharedScene(render_scene(scene_cfg))
     rows = []
     for cell in cells:
         try:
-            rows.append(run_cell(scene, cell))
+            rows.append(run_cell(shared, cell))
         except PROCESSING_ERRORS as exc:
             row = cell.key()
             row["status"] = f"failed: {exc}"

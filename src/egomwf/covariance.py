@@ -19,7 +19,7 @@ from .stft import StftGrid
 DEFAULT_LOADING = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinStatistics:
     """Hermitian (r_yy, r_nn) pairs for one frequency bin or a stack of bins.
 
@@ -46,6 +46,17 @@ class BinStatistics:
             l_off=int(self.l_off[k]),
             bin_index=int(self.bin_index[k]),
         )
+
+    def block(self, positions: Sequence[int]) -> "BinStatistics":
+        """Principal sub-block on the listed channel positions, in that order.
+
+        Every entry is its own masked average, so the block equals the
+        statistics estimated on those channels alone: one estimate over
+        many channels serves every channel subset of it.
+        """
+        rows = np.asarray(positions)[:, None]
+        cols = rows.T
+        return replace(self, r_yy=self.r_yy[..., rows, cols], r_nn=self.r_nn[..., rows, cols])
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:

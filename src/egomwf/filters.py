@@ -95,7 +95,7 @@ class ChannelPartition:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterBank:
     """Per-bin weight vectors plus the partition that shaped them."""
 
@@ -253,6 +253,11 @@ def implied_speech_covariance(stats: BinStatistics, partition: ChannelPartition 
     return top * np.outer(hq1, np.conj(hq1))
 
 
+def filter_partition(partition: ChannelPartition, method: str) -> ChannelPartition:
+    """The partition the method's filter runs on: "mwf" drops the noise-only channels."""
+    return partition.without_noise_mics() if method == METHOD_MWF else partition
+
+
 def build_filterbank(
     stats: BinStatistics,
     partition: ChannelPartition,
@@ -269,7 +274,7 @@ def build_filterbank(
         raise FilterError(f"unknown method {method!r}; expected one of {METHODS}")
     if np.ndim(stats.l_on) != 1:
         raise FilterError("build_filterbank needs stacked statistics, one entry per bin")
-    eff = partition.without_noise_mics() if method == METHOD_MWF else partition
+    eff = filter_partition(partition, method)
     solve_part = (
         _all_speech_noise(eff.n_total, eff.ref_channel) if method == METHOD_MWF_NOISE_MICS else eff
     )

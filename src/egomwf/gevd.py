@@ -26,7 +26,7 @@ class NotPositiveDefiniteError(EgomwfError):
     """Cholesky hit a non-positive pivot; caller should regularize."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PencilDecomposition:
     """GEVD of {r_yy, r_nn}: columns of q are generalized eigenvectors.
 

@@ -119,16 +119,35 @@ def _band_envelopes(x: np.ndarray, obm: np.ndarray) -> np.ndarray:
     return np.sqrt(power @ obm.T).T  # (bands, frames)
 
 
+def at_stoi_rate(clip: AudioClip, rate_hz: int | None = None) -> AudioClip:
+    """A single-channel clip resampled to the 10 kHz STOI rate.
+
+    rate_hz overrides the clip's own rate as the one it is taken at, as
+    in stoi. A clip already at 10 kHz comes back as it is, so stoi on
+    clips made here does no resampling of its own.
+    """
+    x = _mono(clip, "signal")
+    rate = rate_hz or clip.sample_rate_hz
+    if rate == _STOI_RATE:
+        return clip
+    return resample(AudioClip(x[None, :], rate), _STOI_RATE)
+
+
 def stoi(clean: AudioClip, processed: AudioClip, rate_hz: int | None = None) -> float:
-    """Short-time objective intelligibility of `processed` given `clean`."""
+    """Short-time objective intelligibility of `processed` given `clean`.
+
+    Both clips are taken at rate_hz (default: the clean clip's rate) and
+    resampled to 10 kHz by at_stoi_rate before scoring; callers scoring
+    several clips against one clean reference resample it once with
+    at_stoi_rate and pass the 10 kHz clips.
+    """
     x = _mono(clean, "clean signal")
     y = _mono(processed, "processed signal")
     if x.size != y.size:
         raise MetricsError(f"length mismatch: clean {x.size} vs processed {y.size}")
     rate = rate_hz or clean.sample_rate_hz
-    if rate != _STOI_RATE:
-        x = resample(AudioClip(x[None, :], rate), _STOI_RATE).samples[0]
-        y = resample(AudioClip(y[None, :], rate), _STOI_RATE).samples[0]
+    x = at_stoi_rate(clean, rate).samples[0]
+    y = at_stoi_rate(processed, rate).samples[0]
     if not np.any(x != 0):
         raise MetricsError("clean signal is all zeros")
     if x.size < _STOI_FRAME:
@@ -180,6 +199,79 @@ def evaluate(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class InputScores:
+    """What evaluate_clips measures on a clean/noisy reference pair alone.
+
+    Every run scored against the same pair shares it: clean is the clean
+    reference at the STOI rate, rate_hz the rate the references (and the
+    runs' outputs) are taken at.
+    """
+
+    clean: AudioClip
+    rate_hz: int
+    n_samples: int
+    snr_in_db: float
+    stoi_in: float
+
+
+def score_input(clean_ref: AudioClip, noisy_ref: AudioClip) -> InputScores:
+    """Input SNR and STOI of a single-channel clean/noisy reference pair.
+
+    The input noise component is noisy_ref - clean_ref.
+    """
+    clean = _mono(clean_ref, "clean reference")
+    noisy = _mono(noisy_ref, "noisy reference")
+    if clean.size != noisy.size:
+        raise MetricsError("clean/noisy reference length mismatch")
+    rate = clean_ref.sample_rate_hz
+    clean_stoi = at_stoi_rate(clean_ref)
+    return InputScores(
+        clean=clean_stoi,
+        rate_hz=rate,
+        n_samples=clean.size,
+        snr_in_db=snr_db(clean_ref, AudioClip(noisy[None, :] - clean[None, :], rate)),
+        stoi_in=stoi(clean_stoi, at_stoi_rate(noisy_ref, rate)),
+    )
+
+
+def score_output(
+    inputs: InputScores,
+    enhanced: AudioClip,
+    shadow_speech: AudioClip | None = None,
+    shadow_noise: AudioClip | None = None,
+) -> MetricsReport:
+    """The report of one run against already scored references.
+
+    Output SNR uses the shadow-filtered components; missing shadows flag
+    the SNR fields and leave STOI as the only measure.
+    """
+    flags: list[str] = []
+    snr_in = snr_out = improvement = None
+    if shadow_speech is not None and shadow_noise is not None:
+        snr_in = inputs.snr_in_db
+        snr_out = snr_db(shadow_speech, shadow_noise)
+        if abs(snr_in) >= SNR_CAP_DB or abs(snr_out) >= SNR_CAP_DB:
+            flags.append("snr_capped")
+        improvement = snr_out - snr_in
+    else:
+        flags.append("no_ground_truth")
+
+    n = _mono(enhanced, "processed signal").size
+    if n != inputs.n_samples:
+        raise MetricsError(f"length mismatch: clean {inputs.n_samples} vs processed {n}")
+    stoi_out = stoi(inputs.clean, at_stoi_rate(enhanced, inputs.rate_hz))
+    return MetricsReport(
+        snr_in_db=snr_in,
+        snr_out_db=snr_out,
+        snr_improvement_db=improvement,
+        stoi_in=inputs.stoi_in,
+        stoi_out=stoi_out,
+        stoi_improvement=stoi_out - inputs.stoi_in,
+        flags=tuple(flags),
+    )
+
+
 def evaluate_clips(
     clean_ref: AudioClip,
     noisy_ref: AudioClip,
@@ -189,36 +281,7 @@ def evaluate_clips(
 ) -> MetricsReport:
     """Input/output SNR and STOI from single-channel clips.
 
-    The input noise component is noisy_ref - clean_ref; output SNR uses
-    the shadow-filtered components. Missing shadows flag the SNR fields
-    and leave STOI as the only measure.
+    score_input on the references, then score_output on the run: the
+    clean reference is resampled to the STOI rate once for both scores.
     """
-    clean = _mono(clean_ref, "clean reference")
-    noisy = _mono(noisy_ref, "noisy reference")
-    if clean.size != noisy.size:
-        raise MetricsError("clean/noisy reference length mismatch")
-    flags: list[str] = []
-    rate = clean_ref.sample_rate_hz
-
-    snr_in = snr_out = improvement = None
-    if shadow_speech is not None and shadow_noise is not None:
-        noise_in = AudioClip(noisy[None, :] - clean[None, :], rate)
-        snr_in = snr_db(clean_ref, noise_in)
-        snr_out = snr_db(shadow_speech, shadow_noise)
-        if abs(snr_in) >= SNR_CAP_DB or abs(snr_out) >= SNR_CAP_DB:
-            flags.append("snr_capped")
-        improvement = snr_out - snr_in
-    else:
-        flags.append("no_ground_truth")
-
-    stoi_in = stoi(clean_ref, noisy_ref, rate)
-    stoi_out = stoi(clean_ref, enhanced, rate)
-    return MetricsReport(
-        snr_in_db=snr_in,
-        snr_out_db=snr_out,
-        snr_improvement_db=improvement,
-        stoi_in=stoi_in,
-        stoi_out=stoi_out,
-        stoi_improvement=stoi_out - stoi_in,
-        flags=tuple(flags),
-    )
+    return score_output(score_input(clean_ref, noisy_ref), enhanced, shadow_speech, shadow_noise)

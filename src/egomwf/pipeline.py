@@ -5,29 +5,35 @@ The whole file yields one FilterBank which is applied to every frame
 (batch processing, no per-frame adaptation). Applying the same fixed
 bank separately to ground-truth speech and noise components gives exact
 output-SNR bookkeeping by linearity.
+
+Everything before the filter depends on the input and the mask source,
+not on method or array size, so an InputAnalysis serves many runs on one
+input: enhance() is one used once, the sweep keeps one per scene.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .audio_io import AudioClip, resample
 from .config import EnhanceConfig
-from .covariance import estimate_correlations
+from .covariance import BinStatistics, estimate_correlations
 from .errors import EgomwfError
-from .filters import METHOD_MWF, FilterBank, build_filterbank
+from .filters import FilterBank, build_filterbank, filter_partition
 from .scenegen import make_oracle_mask
-from .spp import SppMask, estimate_spp, select_spp_channel
-from .stft import StftGrid, analyze, synthesize
+from .spp import SppMask, SppParams, estimate_spp, select_spp_channel
+from .stft import StftGrid, StftParams, analyze, synthesize
 
 
 class PipelineError(EgomwfError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnhanceResult:
     enhanced: AudioClip
     filterbank: FilterBank
@@ -39,63 +45,158 @@ class EnhanceResult:
         return self.filterbank.status_counts()
 
 
-def apply_filterbank(grid: StftGrid, fb: FilterBank) -> np.ndarray:
-    """d(k, l) = w(k)^H y(k, l); grid channels must already be in
-    partition order and match the weight length."""
-    m = fb.weights.shape[1]
-    if grid.n_channels != m:
-        raise PipelineError(
-            f"grid has {grid.n_channels} channels but filterbank expects {m}"
-        )
-    if grid.n_bins != fb.weights.shape[0]:
-        raise PipelineError(
-            f"grid has {grid.n_bins} bins but filterbank has {fb.weights.shape[0]}"
-        )
-    return (grid.data @ np.conj(fb.weights)[:, :, None])[:, :, 0]
+def apply_filterbank(
+    grid: StftGrid, fb: FilterBank, channels: Sequence[int] | None = None
+) -> np.ndarray:
+    """d(k, l) = w(k)^H y(k, l).
+
+    channels lists the grid channels the weights act on, in weight
+    order; by default the grid must hold exactly those channels already
+    in partition order. Listed channels are served by spreading the
+    weights to the full grid width (zero elsewhere), so the product runs
+    on the grid as it is, without a channel copy.
+    """
+    n_bins, m = fb.weights.shape
+    if grid.n_bins != n_bins:
+        raise PipelineError(f"grid has {grid.n_bins} bins but filterbank has {n_bins}")
+    weights = fb.weights
+    if channels is not None:
+        if len(channels) != m or any(not 0 <= c < grid.n_channels for c in channels):
+            raise PipelineError(
+                f"channels {list(channels)} do not fit {m} weights on a "
+                f"{grid.n_channels}-channel grid"
+            )
+        weights = np.zeros((n_bins, grid.n_channels), dtype=np.complex128)
+        weights[:, list(channels)] = fb.weights
+    elif grid.n_channels != m:
+        raise PipelineError(f"grid has {grid.n_channels} channels but filterbank expects {m}")
+    return (grid.data @ np.conj(weights)[:, :, None])[:, :, 0]
 
 
-def _single_channel_grid(data: np.ndarray, like: StftGrid) -> StftGrid:
-    return StftGrid(data[:, :, np.newaxis], like.params, like.n_samples)
-
-
-def _prepare_clip(clip: AudioClip, cfg: EnhanceConfig) -> AudioClip:
-    if clip.sample_rate_hz != cfg.stft.sample_rate_hz:
-        clip = resample(clip, cfg.stft.sample_rate_hz)
+def _prepare_clip(clip: AudioClip, params: StftParams) -> AudioClip:
+    if clip.sample_rate_hz != params.sample_rate_hz:
+        clip = resample(clip, params.sample_rate_hz)
     return clip
 
 
-def _build_mask(
-    grid: StftGrid,
-    cfg: EnhanceConfig,
-    speech_ref: AudioClip | None,
-    noise_ref: AudioClip | None,
-) -> SppMask:
-    if cfg.spp_mode == "oracle":
-        if speech_ref is None or noise_ref is None:
-            raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
-        ref_phys = cfg.partition.speech_noise_channels[cfg.partition.ref_channel]
-        mask = make_oracle_mask(
-            speech_ref.channel(ref_phys) if speech_ref.n_channels > 1 else speech_ref,
-            noise_ref.channel(ref_phys) if noise_ref.n_channels > 1 else noise_ref,
-            grid.params,
-        )
-        if mask.beta.shape != grid.data.shape[:2]:
-            raise PipelineError(
-                f"oracle mask shape {mask.beta.shape} does not match grid {grid.data.shape[:2]}"
-            )
-        return mask
-    if cfg.spp_mode == "internal":
-        channel = (
-            cfg.spp_channel
-            if cfg.spp_channel is not None
-            else cfg.partition.speech_noise_channels[cfg.partition.ref_channel]
-        )
-    else:  # external
+def _mask_source(cfg: EnhanceConfig) -> tuple[str, int]:
+    """(SPP mode, physical channel) the configured mask is computed from."""
+    ref_phys = cfg.partition.speech_noise_channels[cfg.partition.ref_channel]
+    if cfg.spp_mode == "external":
         if cfg.spp_channel is None:
             raise PipelineError("external SPP mode needs the external channel index")
-        channel = cfg.spp_channel
-    spec = select_spp_channel(grid, "internal" if cfg.spp_mode == "internal" else "external", channel)
-    return estimate_spp(spec, cfg.spp, source_channel=(cfg.spp_mode, channel))
+        return "external", cfg.spp_channel
+    if cfg.spp_mode == "internal" and cfg.spp_channel is not None:
+        return "internal", cfg.spp_channel
+    return cfg.spp_mode, ref_phys
+
+
+def _channel_of(clip: AudioClip, channel: int) -> AudioClip:
+    """The clip's `channel`, or the clip itself when it has only one."""
+    return clip.channel(channel) if clip.n_channels > 1 else clip
+
+
+class InputAnalysis:
+    """One multichannel input (plus optional ground-truth components, as
+    for enhance) analysed once for any number of enhance runs.
+
+    The STFT grids, the mask of each mask source and the correlations
+    under each mask are computed on first use and kept while the object
+    lives. Correlations are estimated over `channels`; each run takes the
+    principal sub-block on its own filter channels, which must lie there.
+    """
+
+    def __init__(
+        self,
+        clip: AudioClip,
+        params: StftParams,
+        speech_ref: AudioClip | None,
+        noise_ref: AudioClip | None,
+        channels: Sequence[int],
+    ):
+        self.params = params
+        self.clip = _prepare_clip(clip, params)
+        self.speech_ref = None if speech_ref is None else _prepare_clip(speech_ref, params)
+        self.noise_ref = None if noise_ref is None else _prepare_clip(noise_ref, params)
+        self.channels = tuple(channels)
+        self._estimates: dict = {}
+
+    @cached_property
+    def grid(self) -> StftGrid:
+        return analyze(self.clip, self.params)
+
+    @cached_property
+    def component_grids(self) -> tuple[StftGrid, StftGrid]:
+        return analyze(self.speech_ref, self.params), analyze(self.noise_ref, self.params)
+
+    def _build_mask(self, source: tuple[str, int], spp: SppParams) -> SppMask:
+        mode, channel = source
+        if mode != "oracle":
+            return estimate_spp(select_spp_channel(self.grid, mode, channel), spp, source)
+        if self.speech_ref is None or self.noise_ref is None:
+            raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
+        mask = make_oracle_mask(
+            _channel_of(self.speech_ref, channel), _channel_of(self.noise_ref, channel), self.params
+        )
+        shape = self.grid.data.shape[:2]
+        if mask.beta.shape != shape:
+            raise PipelineError(f"oracle mask shape {mask.beta.shape} does not match grid {shape}")
+        return mask
+
+    def _mask_and_statistics(self, cfg: EnhanceConfig) -> tuple[SppMask, BinStatistics]:
+        source = _mask_source(cfg)
+        key = (source, cfg.spp)
+        if key not in self._estimates:
+            mask = self._build_mask(source, cfg.spp)
+            self._estimates[key] = mask, estimate_correlations(self.grid, mask, self.channels)
+        return self._estimates[key]
+
+    def _filtered(self, grid: StftGrid, fb: FilterBank) -> AudioClip:
+        d = apply_filterbank(grid, fb, fb.partition.ordered_channels)
+        return synthesize(StftGrid(d[:, :, np.newaxis], self.params, self.grid.n_samples))
+
+    def enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
+        """The enhance() result for this input under cfg."""
+        if cfg.stft != self.params:
+            raise PipelineError(f"config STFT {cfg.stft} differs from the analysed {self.params}")
+        order = filter_partition(cfg.partition, cfg.method).ordered_channels
+        n_channels = self.clip.n_channels
+        needed = max(order)
+        if needed >= n_channels:
+            raise PipelineError(
+                f"partition references channel {needed} but input has {n_channels}"
+            )
+        if cfg.spp_channel is not None and cfg.spp_channel >= n_channels:
+            raise PipelineError(
+                f"SPP channel {cfg.spp_channel} out of range for {n_channels}-channel input"
+            )
+        outside = sorted(set(order) - set(self.channels))
+        if outside:
+            raise PipelineError(f"channels {outside} are outside the analysed set {self.channels}")
+
+        mask, stats = self._mask_and_statistics(cfg)
+        if order != self.channels:
+            stats = stats.block([self.channels.index(c) for c in order])
+        fb = build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
+        enhanced = self._filtered(self.grid, fb)
+
+        # shadow filtering needs the components at every filter channel;
+        # reference clips carrying fewer (e.g. mask-only single-channel
+        # ground truth) simply skip it
+        shadow_speech = shadow_noise = None
+        refs = (self.speech_ref, self.noise_ref)
+        if all(ref is not None and ref.n_channels > needed for ref in refs):
+            s_grid, n_grid = self.component_grids
+            shadow_speech = self._filtered(s_grid, fb)
+            shadow_noise = self._filtered(n_grid, fb)
+
+        return EnhanceResult(
+            enhanced=enhanced,
+            filterbank=fb,
+            mask=mask,
+            shadow_speech=shadow_speech,
+            shadow_noise=shadow_noise,
+        )
 
 
 def enhance(
@@ -109,52 +210,5 @@ def enhance(
     speech_ref/noise_ref are optional ground-truth component clips (same
     channel layout); they drive oracle masking and shadow filtering.
     """
-    clip = _prepare_clip(clip, cfg)
-    partition = cfg.partition
-    eff = partition.without_noise_mics() if cfg.method == METHOD_MWF else partition
-    needed = max(eff.ordered_channels)
-    if needed >= clip.n_channels:
-        raise PipelineError(
-            f"partition references channel {needed} but input has {clip.n_channels}"
-        )
-    if cfg.spp_channel is not None and cfg.spp_channel >= clip.n_channels:
-        raise PipelineError(
-            f"SPP channel {cfg.spp_channel} out of range for {clip.n_channels}-channel input"
-        )
-
-    grid = analyze(clip, cfg.stft)
-    if speech_ref is not None:
-        speech_ref = _prepare_clip(speech_ref, cfg)
-    if noise_ref is not None:
-        noise_ref = _prepare_clip(noise_ref, cfg)
-    mask = _build_mask(grid, cfg, speech_ref, noise_ref)
-
-    stats = estimate_correlations(grid, mask, eff.ordered_channels)
-    fb = build_filterbank(stats, partition, cfg.method, cfg.delta)
-
-    sub = grid.select_channels(list(eff.ordered_channels))
-    enhanced = synthesize(_single_channel_grid(apply_filterbank(sub, fb), grid))
-
-    # shadow filtering needs the components at every partition channel;
-    # reference clips carrying fewer (e.g. mask-only single-channel
-    # ground truth) simply skip it
-    shadow_speech = shadow_noise = None
-    if (
-        speech_ref is not None
-        and noise_ref is not None
-        and speech_ref.n_channels > needed
-        and noise_ref.n_channels > needed
-    ):
-        order = list(eff.ordered_channels)
-        s_grid = analyze(AudioClip(speech_ref.samples[order], speech_ref.sample_rate_hz), cfg.stft)
-        n_grid = analyze(AudioClip(noise_ref.samples[order], noise_ref.sample_rate_hz), cfg.stft)
-        shadow_speech = synthesize(_single_channel_grid(apply_filterbank(s_grid, fb), grid))
-        shadow_noise = synthesize(_single_channel_grid(apply_filterbank(n_grid, fb), grid))
-
-    return EnhanceResult(
-        enhanced=enhanced,
-        filterbank=fb,
-        mask=mask,
-        shadow_speech=shadow_speech,
-        shadow_noise=shadow_noise,
-    )
+    channels = filter_partition(cfg.partition, cfg.method).ordered_channels
+    return InputAnalysis(clip, cfg.stft, speech_ref, noise_ref, channels).enhance(cfg)

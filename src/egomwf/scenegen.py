@@ -112,7 +112,7 @@ class SceneConfig:
             raise SceneError("target SNR must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneOutput:
     mixture: AudioClip
     speech_image: AudioClip

@@ -43,7 +43,7 @@ class SppParams:
             raise SppError(f"init_frames must be >= 1, got {self.init_frames}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SppMask:
     """Per-(bin, frame) probability and binary indicator.
 

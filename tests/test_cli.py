@@ -581,3 +581,68 @@ def test_sweep_marks_package_error_row_failed(speech_wav, monkeypatch):
     rows = cli._run_scene_group((replace(cells[0].scene, duration_s=2.0), cells))
     assert rows[0]["status"] == "failed: singular noise-reference Gram matrix"
     assert rows[1]["status"] == "ok"
+
+
+# ------------------------------------------------------- shared scene work
+
+
+def _short_scene_group(speech_wav):
+    from egomwf.scenegen import default_suite
+
+    cells = [c for c in default_suite(speech_wav, seed=0) if c.scene.target_snr_db == -10.0]
+    assert len(cells) == 27
+    return replace(cells[0].scene, duration_s=2.0), cells
+
+
+def test_scene_group_rows_match_per_cell_path(speech_wav):
+    """Every cell run on the shared grids, masks and covariances gives the
+    row of a standalone enhance + evaluate on the same scene."""
+    import egomwf.cli as cli
+    from egomwf.metrics import evaluate
+    from egomwf.pipeline import enhance
+
+    scene_cfg, cells = _short_scene_group(speech_wav)
+    rows = cli._run_scene_group((scene_cfg, cells))
+    scene = render_scene(scene_cfg)
+    ext = scene.manifest["channels"]["external"]
+    assert len(rows) == len(cells)
+    for row, cell in zip(rows, cells):
+        cfg = EnhanceConfig(
+            partition=cell.partition,
+            spp_mode=cell.spp_mode,
+            spp_channel=ext if cell.spp_mode == "external" else None,
+            method=cell.method,
+        )
+        result = enhance(scene.mixture, cfg, scene.speech_image, scene.noise_image)
+        report = evaluate(result, scene.speech_image.channel(0), scene.mixture.channel(0))
+        assert row["status"] == "ok"
+        assert {k: row[k] for k in cell.key()} == cell.key()
+        for key in ("snr_in_db", "snr_out_db", "snr_improvement_db",
+                    "stoi_in", "stoi_out", "stoi_improvement"):
+            assert abs(row[key] - getattr(report, key)) <= 1e-12, (cell.key(), key)
+
+
+def test_scene_group_stft_count_does_not_grow_with_cells(speech_wav, monkeypatch):
+    import egomwf.cli as cli
+    import egomwf.pipeline
+    import egomwf.scenegen
+
+    calls = []
+    for module in (egomwf.pipeline, egomwf.scenegen):
+        real = module.analyze
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "analyze", counted)
+    scene_cfg, cells = _short_scene_group(speech_wav)
+    counts = []
+    # the first nine cells hold every SPP mode and method, for one array size
+    for group in (cells[:9], cells):
+        calls.clear()
+        rows = cli._run_scene_group((scene_cfg, group))
+        assert all(r["status"] == "ok" for r in rows)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert counts[1] <= 10

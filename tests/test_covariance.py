@@ -181,3 +181,37 @@ def test_r_nn_psd_with_one_inactive_frame_beside_loud_speech(rng):
         assert np.linalg.norm(st.r_nn - ref) <= 1e-12 * np.linalg.norm(ref)
         eig = np.linalg.eigvalsh(st.r_nn)
         assert eig.min() >= -1e-12 * eig.max()
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_principal_block_matches_direct_estimate(rng, m):
+    """A sweep cell's statistics are the block of one 16-channel estimate."""
+    grid = _make_grid(rng, bins=9, frames=40, channels=17)
+    beta = (rng.uniform(size=(grid.n_bins, 40)) > 0.5).astype(np.uint8)
+    beta[1] = 1  # bins with every frame active, and with none
+    beta[4] = 0
+    mask = _mask_from(beta)
+    full_channels = list(range(16))
+    full = estimate_correlations(grid, mask, full_channels)
+    for order in (list(range(m)), list(range(m)) + [12, 13, 14, 15]):
+        block = full.block([full_channels.index(c) for c in order])
+        direct = estimate_correlations(grid, mask, order)
+        for a, b in ((block.r_yy, direct.r_yy), (block.r_nn, direct.r_nn)):
+            assert a.shape == b.shape == (grid.n_bins, len(order), len(order))
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.array_equal(block.l_on, direct.l_on)
+        assert np.array_equal(block.l_off, direct.l_off)
+    assert np.all(full.r_nn[1] == 0) and np.all(full.r_yy[4] == 0)
+
+
+def test_block_of_single_bin_statistics(rng):
+    st = estimate_correlations(_make_grid(rng), _mask_from(np.ones((17, 30))), [0, 1, 2, 3])[5]
+    assert np.array_equal(st.block([3, 1]).r_yy, st.r_yy[np.ix_([3, 1], [3, 1])])
+
+
+def test_statistics_compare_by_identity_and_hash():
+    a = BinStatistics(np.eye(2), np.eye(2), 1, 1, 0)
+    b = BinStatistics(np.eye(2), np.eye(2), 1, 1, 0)
+    assert a != b
+    assert a == a
+    assert len({a, b}) == 2

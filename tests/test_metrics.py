@@ -249,3 +249,20 @@ def test_stoi_matches_segment_loop(speech_clip, rng):
     x10 = resample(_clip(x), 10000).samples[0]
     y10 = resample(_clip(y), 10000).samples[0]
     assert abs(stoi(_clip(x), _clip(y)) - _stoi_loop(x10, y10)) <= 1e-12
+
+
+def test_evaluate_clips_resamples_clean_reference_once(rng, monkeypatch):
+    clean = _clip(rng.standard_normal(16000))
+    noisy = _clip(clean.samples[0] + rng.standard_normal(16000))
+    calls = []
+    real = metrics.resample
+
+    def counted(clip, rate):
+        calls.append(1)
+        return real(clip, rate)
+
+    monkeypatch.setattr(metrics, "resample", counted)
+    noise = _clip(noisy.samples[0] - clean.samples[0])
+    report = metrics.evaluate_clips(clean, noisy, noisy, clean, noise)
+    assert len(calls) == 3  # clean, noisy, enhanced
+    assert report.stoi_in == report.stoi_out == stoi(clean, noisy)

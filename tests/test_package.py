@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import egomwf
 
@@ -12,3 +14,34 @@ def test_every_export_resolves():
         assert module.__name__.startswith("egomwf.")
         assert getattr(module, name) is obj
 
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every bare name the module reads, including quoted annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= _referenced_names(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+def test_no_unused_imports():
+    """Each package module uses every name it imports (__init__ re-exports
+    and __future__ imports are exempt)."""
+    unused = []
+    for path in sorted(Path(egomwf.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused

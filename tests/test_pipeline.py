@@ -184,3 +184,32 @@ def test_external_spp_uses_external_channel(default_scene):
 
     direct = estimate_spp(grid.data[:, :, ext])
     assert np.array_equal(result.mask.beta, direct.beta)
+
+
+def test_apply_on_listed_channels_matches_selected_grid(rng):
+    grid = _grid(rng, bins=5, frames=7, channels=6)
+    part = ChannelPartition((4, 1), (0,))
+    w = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    order = list(part.ordered_channels)
+    direct = apply_filterbank(grid.select_channels(order), _bank(w, part))
+    spread = apply_filterbank(grid, _bank(w, part), order)
+    assert np.max(np.abs(spread - direct)) <= 1e-12
+    with pytest.raises(PipelineError):
+        apply_filterbank(grid, _bank(w, part), [0, 1])
+    with pytest.raises(PipelineError):
+        apply_filterbank(grid, _bank(w, part), [0, 1, 6])
+
+
+def test_shared_analysis_rejects_runs_it_cannot_serve(default_scene):
+    from egomwf.pipeline import InputAnalysis
+
+    analysis = InputAnalysis(default_scene.mixture, StftParams(), None, None, range(8))
+    with pytest.raises(PipelineError):
+        analysis.enhance(EnhanceConfig(partition=suite_partition(4), method="pk-mwf"))
+    with pytest.raises(PipelineError):
+        analysis.enhance(
+            EnhanceConfig(partition=suite_partition(4), method="mwf", stft=StftParams(hop=128))
+        )
+    run = analysis.enhance(EnhanceConfig(partition=suite_partition(4), method="mwf"))
+    again = analysis.enhance(EnhanceConfig(partition=suite_partition(8), method="mwf"))
+    assert run.mask is again.mask

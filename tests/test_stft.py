@@ -173,3 +173,9 @@ def test_synthesize_matches_loop_overlap_add(rng):
     for f in range(grid.n_frames):
         ref[:, f * hop : f * hop + nfft] += frames[:, f, :]
     assert np.array_equal(synthesize(grid).samples, ref[:, :3000])
+
+
+def test_analyze_grid_is_c_contiguous(rng):
+    grid = analyze(AudioClip(rng.standard_normal((3, 4000)), 16000))
+    assert grid.data.flags.c_contiguous
+    assert grid.data.shape == (257, 16, 3)
