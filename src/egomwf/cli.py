@@ -6,10 +6,11 @@ caps the worker count of the sweep driver.
 
 The sweep renders each scene once, and its cells share what does not
 depend on method or array size, each part computed on first use: the
-STFT grids of the mixture, speech and noise images, one mask per SPP
-mode, one covariance per mask over the 16 array and propeller channels
-(a cell's statistics are its principal sub-block on the cell's own
-channels) and the input SNR/STOI. Each cell then filters and scores
+STFT grids of the mixture, speech and noise images on the 16 array and
+propeller channels (the external microphone is analysed on its own, for
+its mask), one mask per SPP mode, one covariance per mask over those 16
+channels (a cell's statistics are its principal sub-block on the cell's
+own channels) and the input SNR/STOI. Each cell then filters and scores
 through the same pipeline and metrics code as enhance and evaluate.
 """
 

@@ -8,7 +8,10 @@ output-SNR bookkeeping by linearity.
 
 Everything before the filter depends on the input and the mask source,
 not on method or array size, so an InputAnalysis serves many runs on one
-input: enhance() is one used once, the sweep keeps one per scene.
+input: enhance() is one used once, the sweep keeps one per scene. The
+STFT covers only the channels the covariance is estimated over (for
+enhance(), the filter channels); a mask channel outside them is analysed
+on its own.
 """
 
 from __future__ import annotations
@@ -100,10 +103,14 @@ class InputAnalysis:
     """One multichannel input (plus optional ground-truth components, as
     for enhance) analysed once for any number of enhance runs.
 
-    The STFT grids, the mask of each mask source and the correlations
-    under each mask are computed on first use and kept while the object
-    lives. Correlations are estimated over `channels`; each run takes the
-    principal sub-block on its own filter channels, which must lie there.
+    Only `channels` are analysed: column j of the mixture grid and of
+    both component grids holds physical channel channels[j]. Correlations
+    are estimated over those columns; each run takes the principal
+    sub-block on its own filter channels, which must lie there. A mask
+    channel outside `channels` (an external microphone, say) gets a
+    single-channel analysis of its own. The grids, the mask of each mask
+    source and the correlations under each mask are computed on first
+    use and kept while the object lives.
     """
 
     def __init__(
@@ -119,20 +126,34 @@ class InputAnalysis:
         self.speech_ref = None if speech_ref is None else _prepare_clip(speech_ref, params)
         self.noise_ref = None if noise_ref is None else _prepare_clip(noise_ref, params)
         self.channels = tuple(channels)
+        self._column = {c: j for j, c in enumerate(self.channels)}
+        self._single: dict[int, StftGrid] = {}
         self._estimates: dict = {}
 
     @cached_property
     def grid(self) -> StftGrid:
-        return analyze(self.clip, self.params)
+        return analyze(self.clip, self.params, self.channels)
 
     @cached_property
     def component_grids(self) -> tuple[StftGrid, StftGrid]:
-        return analyze(self.speech_ref, self.params), analyze(self.noise_ref, self.params)
+        return (
+            analyze(self.speech_ref, self.params, self.channels),
+            analyze(self.noise_ref, self.params, self.channels),
+        )
+
+    def _spectrogram_grid(self, channel: int) -> tuple[StftGrid, int]:
+        """(grid, column) holding physical `channel` of the input."""
+        if channel in self._column:
+            return self.grid, self._column[channel]
+        if channel not in self._single:
+            self._single[channel] = analyze(self.clip, self.params, [channel])
+        return self._single[channel], 0
 
     def _build_mask(self, source: tuple[str, int], spp: SppParams) -> SppMask:
         mode, channel = source
         if mode != "oracle":
-            return estimate_spp(select_spp_channel(self.grid, mode, channel), spp, source)
+            grid, column = self._spectrogram_grid(channel)
+            return estimate_spp(select_spp_channel(grid, mode, column), spp, source)
         if self.speech_ref is None or self.noise_ref is None:
             raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
         mask = make_oracle_mask(
@@ -148,11 +169,12 @@ class InputAnalysis:
         key = (source, cfg.spp)
         if key not in self._estimates:
             mask = self._build_mask(source, cfg.spp)
-            self._estimates[key] = mask, estimate_correlations(self.grid, mask, self.channels)
+            columns = range(len(self.channels))
+            self._estimates[key] = mask, estimate_correlations(self.grid, mask, columns)
         return self._estimates[key]
 
     def _filtered(self, grid: StftGrid, fb: FilterBank) -> AudioClip:
-        d = apply_filterbank(grid, fb, fb.partition.ordered_channels)
+        d = apply_filterbank(grid, fb, [self._column[c] for c in fb.partition.ordered_channels])
         return synthesize(StftGrid(d[:, :, np.newaxis], self.params, self.grid.n_samples))
 
     def enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
@@ -176,16 +198,16 @@ class InputAnalysis:
 
         mask, stats = self._mask_and_statistics(cfg)
         if order != self.channels:
-            stats = stats.block([self.channels.index(c) for c in order])
+            stats = stats.block([self._column[c] for c in order])
         fb = build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
         enhanced = self._filtered(self.grid, fb)
 
-        # shadow filtering needs the components at every filter channel;
+        # shadow filtering needs the components at every analysed channel;
         # reference clips carrying fewer (e.g. mask-only single-channel
         # ground truth) simply skip it
         shadow_speech = shadow_noise = None
         refs = (self.speech_ref, self.noise_ref)
-        if all(ref is not None and ref.n_channels > needed for ref in refs):
+        if all(ref is not None and ref.n_channels > max(self.channels) for ref in refs):
             s_grid, n_grid = self.component_grids
             shadow_speech = self._filtered(s_grid, fb)
             shadow_noise = self._filtered(n_grid, fb)

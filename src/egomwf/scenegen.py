@@ -11,7 +11,7 @@ speech/noise components and an oracle activity mask.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,13 @@ class SceneError(EgomwfError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneGeometry:
-    """Positions in meters; arrays are (n, 3)."""
+    """Positions in meters; arrays are (n, 3) and read-only.
+
+    Equality and hash follow the positions, so the scene configs holding
+    a geometry are value types.
+    """
 
     source: np.ndarray
     array_mics: np.ndarray
@@ -43,14 +47,34 @@ class SceneGeometry:
     external_mic: np.ndarray | None
 
     def __post_init__(self):
-        object.__setattr__(self, "source", np.asarray(self.source, dtype=float))
-        object.__setattr__(self, "array_mics", np.asarray(self.array_mics, dtype=float))
-        object.__setattr__(self, "propeller_mics", np.asarray(self.propeller_mics, dtype=float))
-        object.__setattr__(self, "rotors", np.asarray(self.rotors, dtype=float))
-        if self.external_mic is not None:
-            object.__setattr__(self, "external_mic", np.asarray(self.external_mic, dtype=float))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "external_mic":
+                continue
+            positions = np.array(value, dtype=float)
+            positions.setflags(write=False)
+            object.__setattr__(self, f.name, positions)
         if self.propeller_mics.shape[0] != N_ROTORS or self.rotors.shape[0] != N_ROTORS:
             raise SceneError("expected exactly 4 rotors and 4 propeller mics")
+
+    def _key(self) -> tuple:
+        return tuple(
+            None if a is None else (a.shape, tuple(a.ravel().tolist()))
+            for a in (getattr(self, f.name) for f in fields(self))
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, SceneGeometry):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # rebuild through __post_init__ so an unpickled copy (a sweep
+        # worker's) is validated and read-only too
+        return SceneGeometry, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_embedded(self) -> int:

@@ -89,20 +89,41 @@ def estimate_spp(
             f"need at least init_frames={params.init_frames} frames, got {n_frames}"
         )
     power = np.abs(spec) ** 2
+    eps = np.finfo(np.float64).eps
     sigma2 = np.mean(power[:, : params.init_frames], axis=1)
-    sigma2 = np.maximum(sigma2, np.finfo(np.float64).eps)
+    sigma2 = np.maximum(sigma2, eps)
 
     xi = params.xi_h1
     glr_gain = xi / (1.0 + xi)
-    spp = np.empty((n_bins, n_frames))
-    for l in range(n_frames):
-        gamma = power[:, l] / sigma2
-        p = 1.0 / (1.0 + (1.0 + xi) * np.exp(-gamma * glr_gain))
-        spp[:, l] = p
-        p_capped = np.minimum(p, params.spp_cap)
-        periodogram = p_capped * sigma2 + (1.0 - p_capped) * power[:, l]
-        sigma2 = params.alpha_psd * sigma2 + (1.0 - params.alpha_psd) * periodogram
-        sigma2 = np.maximum(sigma2, np.finfo(np.float64).eps)
+    alpha = params.alpha_psd
+    # frame-major so each frame is a contiguous row; the loop evaluates
+    #   p = 1 / (1 + (1 + xi) * exp(-gamma * glr_gain)),  gamma = |y|^2 / sigma2
+    #   periodogram = p_c * sigma2 + (1 - p_c) * |y|^2,   p_c = min(p, cap)
+    #   sigma2 = max(a * sigma2 + (1 - a) * periodogram, eps)
+    # operation by operation into buffers reused across frames (IEEE
+    # products and sums commute and (-g)*x == g*(-x), so each step rounds
+    # exactly as the expressions above)
+    power_t = np.ascontiguousarray(power.T)
+    spp_t = np.empty((n_frames, n_bins))
+    t = np.empty(n_bins)
+    p_c = np.empty(n_bins)
+    for y, p in zip(power_t, spp_t):
+        np.divide(y, sigma2, out=t)
+        np.multiply(t, -glr_gain, out=t)
+        np.exp(t, out=t)
+        np.multiply(t, 1.0 + xi, out=t)
+        np.add(t, 1.0, out=t)
+        np.divide(1.0, t, out=p)
+        np.minimum(p, params.spp_cap, out=p_c)
+        np.multiply(p_c, sigma2, out=t)
+        np.subtract(1.0, p_c, out=p_c)
+        np.multiply(p_c, y, out=p_c)
+        np.add(t, p_c, out=t)
+        np.multiply(sigma2, alpha, out=sigma2)
+        np.multiply(t, 1.0 - alpha, out=t)
+        np.add(sigma2, t, out=sigma2)
+        np.maximum(sigma2, eps, out=sigma2)
+    spp = np.ascontiguousarray(spp_t.T)
     beta = (spp >= params.threshold).astype(np.uint8)
     return SppMask(spp=spp, beta=beta, source_channel=source_channel)
 

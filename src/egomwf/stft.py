@@ -9,6 +9,7 @@ runs on bins 0..fft_size/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -88,11 +89,13 @@ class StftGrid:
         return self.data[:, :, index]
 
     def select_channels(self, channels: list[int]) -> "StftGrid":
-        """Sub-grid restricted to the listed channels, in the given order."""
+        """Sub-grid restricted to the listed channels, in the given order,
+        C-contiguous like the grid analyze() gives for those channels."""
         for c in channels:
             if not 0 <= c < self.n_channels:
                 raise StftError(f"channel {c} out of range (have {self.n_channels})")
-        return StftGrid(self.data[:, :, list(channels)], self.params, self.n_samples)
+        data = np.ascontiguousarray(self.data[:, :, list(channels)])
+        return StftGrid(data, self.params, self.n_samples)
 
 
 def frame_view(x: np.ndarray, size: int, hop: int) -> np.ndarray:
@@ -119,31 +122,42 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.reshape(lead + (-1,))[..., : (n_frames - 1) * hop + size]
 
 
-def analyze(clip: AudioClip, params: StftParams | None = None) -> StftGrid:
-    """Windowed one-sided STFT of every channel.
+def analyze(
+    clip: AudioClip, params: StftParams | None = None, channels: Sequence[int] | None = None
+) -> StftGrid:
+    """Windowed one-sided STFT of the listed channels (default: all).
 
-    Frame f covers samples [f*hop, f*hop + fft_size); the final partial
-    frame is zero-padded. Frames exist for every start offset below the
-    signal length, i.e. n_frames = ceil(n / hop). The grid data is
-    C-contiguous, so per-bin products over channels run as stacked BLAS
-    calls without a copy.
+    Grid column j holds clip channel channels[j]. Frame f covers samples
+    [f*hop, f*hop + fft_size); the final partial frame is zero-padded.
+    Frames exist for every start offset below the signal length, i.e.
+    n_frames = ceil(n / hop). Each channel's transform is independent of
+    the others, so a column equals the same channel's column in the full
+    analysis bit for bit. The grid data is C-contiguous, so per-bin
+    products over channels run as stacked BLAS calls without a copy.
     """
     params = params or StftParams()
     if clip.sample_rate_hz != params.sample_rate_hz:
         raise StftError(
             f"clip rate {clip.sample_rate_hz} != params rate {params.sample_rate_hz}"
         )
+    channels = range(clip.n_channels) if channels is None else list(channels)
+    if not channels:
+        raise StftError("channel list must be nonempty")
+    for c in channels:
+        if not 0 <= c < clip.n_channels:
+            raise StftError(f"channel {c} out of range (have {clip.n_channels})")
     n = clip.n_frames
     nfft, hop = params.fft_size, params.hop
     if n < nfft:
         raise StftError(f"clip of {n} samples shorter than one frame ({nfft})")
     n_frames = -(-n // hop)
-    padded = np.zeros((clip.n_channels, (n_frames - 1) * hop + nfft))
-    padded[:, :n] = clip.samples
+    padded = np.zeros((len(channels), (n_frames - 1) * hop + nfft))
+    for row, c in zip(padded, channels):
+        row[:n] = clip.samples[c]
     # window the (fft, frames, ch) view and transform along its first axis
     window = params.window_values()[:, None, None]
     frames = frame_view(padded, nfft, hop).transpose(2, 1, 0) * window
-    spec = np.empty((params.n_bins, n_frames, clip.n_channels), dtype=np.complex128)
+    spec = np.empty((params.n_bins, n_frames, len(channels)), dtype=np.complex128)
     np.fft.rfft(frames, axis=0, out=spec)
     return StftGrid(spec, params, n_samples=n)
 

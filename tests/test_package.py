@@ -45,3 +45,31 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def test_benchmark_probe_bindings_resolve():
+    """Every name the benchmark tracer wraps (the "egomwf.<module>.<name>"
+    bindings in perfbench/spans.py PROBES) still exists, so a refactor that
+    drops a probed import fails here instead of in a traced run."""
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    probes = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "PROBES" for t in node.targets)
+    )
+    bindings = [
+        node.value
+        for node in ast.walk(probes)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("egomwf.")
+    ]
+    assert len(bindings) >= 20
+    missing = []
+    for binding in bindings:
+        module, name = binding.rsplit(".", 1)
+        if not hasattr(importlib.import_module(module), name):
+            missing.append(binding)
+    assert not missing, missing

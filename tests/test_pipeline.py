@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,64 @@ def test_shared_analysis_rejects_runs_it_cannot_serve(default_scene):
     run = analysis.enhance(EnhanceConfig(partition=suite_partition(4), method="mwf"))
     again = analysis.enhance(EnhanceConfig(partition=suite_partition(8), method="mwf"))
     assert run.mask is again.mask
+    assert analysis.grid.n_channels == 8
+    with pytest.raises(PipelineError):
+        analysis.enhance(EnhanceConfig(partition=suite_partition(12), method="mwf"))
+
+
+def _counting_analyze(monkeypatch):
+    """Patch the pipeline's analyze to record the channels of each call."""
+    import egomwf.pipeline
+
+    calls = []
+    original = egomwf.pipeline.analyze
+
+    def counted(clip, params=None, channels=None):
+        grid = original(clip, params, channels)
+        calls.append(grid.n_channels)
+        return grid
+
+    monkeypatch.setattr(egomwf.pipeline, "analyze", counted)
+    return calls
+
+
+def test_enhance_analyses_only_the_filter_channels(default_scene, monkeypatch):
+    calls = _counting_analyze(monkeypatch)
+    assert default_scene.mixture.n_channels == 17
+    cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="internal", method="pk-mwf")
+    result = enhance(default_scene.mixture, cfg)
+    assert calls == [8]
+    assert result.filterbank.partition.ordered_channels == (0, 1, 2, 3, 12, 13, 14, 15)
+
+
+def test_external_spp_outside_filter_channels_matches_full_grid(default_scene, monkeypatch):
+    from egomwf.covariance import estimate_correlations
+    from egomwf.filters import build_filterbank
+    from egomwf.pipeline import InputAnalysis
+    from egomwf.spp import SppParams, estimate_spp
+    from egomwf.stft import synthesize
+
+    ext = default_scene.manifest["channels"]["external"]
+    assert ext == 16
+    part = ChannelPartition((0, 1, 2, 3), (), 0)
+    cfg = EnhanceConfig(partition=part, spp_mode="external", spp_channel=ext, method="mwf")
+
+    full = analyze(default_scene.mixture)
+    grid = full.select_channels([0, 1, 2, 3])
+    mask = estimate_spp(full.channel_slice(ext), cfg.spp, ("external", ext))
+    stats = estimate_correlations(grid, mask, range(4))
+    fb = build_filterbank(stats, part, "mwf", cfg.delta)
+    d = apply_filterbank(grid, fb)
+    expected = synthesize(StftGrid(d[:, :, None], grid.params, grid.n_samples))
+
+    calls = _counting_analyze(monkeypatch)
+    analysis = InputAnalysis(default_scene.mixture, StftParams(), None, None, range(4))
+    result = analysis.enhance(cfg)
+    assert np.array_equal(result.mask.spp, mask.spp)
+    assert np.array_equal(result.mask.beta, mask.beta)
+    assert np.array_equal(result.filterbank.weights, fb.weights)
+    assert np.array_equal(result.enhanced.samples, expected.samples)
+    assert sorted(calls) == [1, 4]
+    # a second mask from channel 16 reuses its single-channel analysis
+    analysis.enhance(replace(cfg, spp=SppParams(threshold=0.6)))
+    assert sorted(calls) == [1, 4]

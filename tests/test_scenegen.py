@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from egomwf.scenegen import (
     SPP_MODES,
     SceneConfig,
     SceneError,
+    SceneGeometry,
+    SweepCell,
     default_geometry,
     default_suite,
     fractional_delay,
@@ -235,3 +238,37 @@ def test_geometry_defaults():
     assert np.allclose(geo.array_mics[:, 2], 1.15)
     assert np.linalg.norm(geo.source - np.array([2.0, 0.0, 0.1])) == 0.0
     assert geo.external_mic[2] == pytest.approx(geo.source[2] + 0.2)
+
+
+def test_scene_configs_are_values(speech_wav):
+    geo = default_geometry()
+    rebuilt = SceneGeometry(
+        source=geo.source.tolist(),
+        array_mics=geo.array_mics.tolist(),
+        propeller_mics=geo.propeller_mics.tolist(),
+        rotors=geo.rotors.tolist(),
+        external_mic=geo.external_mic.tolist(),
+    )
+    a = SceneConfig(speech_path=speech_wav, duration_s=2.0)
+    b = SceneConfig(speech_path=speech_wav, duration_s=2.0, geometry=rebuilt)
+    assert a == b and hash(a) == hash(b)
+    assert SceneConfig(speech_path="x") == SceneConfig(speech_path="x")
+    assert len({a, b}) == 1
+    moved = SceneGeometry(
+        geo.source + [0.0, 0.0, 0.01], geo.array_mics, geo.propeller_mics, geo.rotors, None
+    )
+    assert moved != geo
+    assert SceneConfig(speech_path=speech_wav, duration_s=2.0, geometry=moved) != a
+    assert default_geometry(include_external=False) != geo
+    with pytest.raises(ValueError):
+        geo.array_mics[0, 0] = 1.0
+    copied = pickle.loads(pickle.dumps(geo))
+    assert copied == geo and not copied.rotors.flags.writeable
+    cell = SweepCell(scene=a, partition=suite_partition(4), spp_mode="internal", method="mwf")
+    twin = SweepCell(scene=b, partition=suite_partition(4), spp_mode="internal", method="mwf")
+    assert cell == twin and hash(cell) == hash(twin)
+
+    # the read-only copies render exactly what the default geometry renders
+    ra, rb = render_scene(a), render_scene(b)
+    for clip in ("mixture", "speech_image", "noise_image"):
+        assert np.array_equal(getattr(ra, clip).samples, getattr(rb, clip).samples)

@@ -126,3 +126,33 @@ def test_agreement_with_oracle_on_energetic_points(speech_wav):
     assert strong.sum() >= 100
     agree = mask.beta[strong] == oracle.beta[strong]
     assert agree.mean() >= 0.9
+
+
+def _reference_spp(spec, params):
+    """The per-frame recursion written with fresh temporaries each frame."""
+    power = np.abs(spec) ** 2
+    sigma2 = np.maximum(np.mean(power[:, : params.init_frames], axis=1), np.finfo(float).eps)
+    xi = params.xi_h1
+    glr_gain = xi / (1.0 + xi)
+    spp = np.empty(power.shape)
+    for l in range(power.shape[1]):
+        gamma = power[:, l] / sigma2
+        p = 1.0 / (1.0 + (1.0 + xi) * np.exp(-gamma * glr_gain))
+        spp[:, l] = p
+        p_capped = np.minimum(p, params.spp_cap)
+        periodogram = p_capped * sigma2 + (1.0 - p_capped) * power[:, l]
+        sigma2 = params.alpha_psd * sigma2 + (1.0 - params.alpha_psd) * periodogram
+        sigma2 = np.maximum(sigma2, np.finfo(float).eps)
+    return spp, (spp >= params.threshold).astype(np.uint8)
+
+
+@pytest.mark.parametrize("params", [SppParams(), SppParams(alpha_psd=0.3, spp_cap=0.6)])
+def test_estimate_spp_matches_reference_loop(rng, speech_clip, params):
+    speech = analyze(speech_clip).data[:, :, 0]
+    noisy = speech + 0.05 * _noise_spec(rng, *speech.shape)
+    for spec in (_noise_spec(rng, bins=257, frames=300), noisy):
+        spp, beta = _reference_spp(spec, params)
+        mask = estimate_spp(spec, params)
+        assert np.array_equal(mask.spp, spp)
+        assert np.array_equal(mask.beta, beta)
+        assert mask.spp.flags.c_contiguous and mask.beta.flags.c_contiguous

@@ -179,3 +179,19 @@ def test_analyze_grid_is_c_contiguous(rng):
     grid = analyze(AudioClip(rng.standard_normal((3, 4000)), 16000))
     assert grid.data.flags.c_contiguous
     assert grid.data.shape == (257, 16, 3)
+
+
+def test_analyze_listed_channels_match_full_analysis(rng):
+    clip = AudioClip(rng.standard_normal((17, 4000)), 16000)
+    full = analyze(clip)
+    for channels in ([5, 0, 16, 3], [16], [2, 2], list(range(17))):
+        part = analyze(clip, channels=channels)
+        assert part.data.flags.c_contiguous
+        assert part.n_samples == full.n_samples
+        assert np.array_equal(part.data, full.data[:, :, channels])
+    with pytest.raises(StftError):
+        analyze(clip, channels=[17])
+    with pytest.raises(StftError):
+        analyze(clip, channels=[-1])
+    with pytest.raises(StftError):
+        analyze(clip, channels=[])
