@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration/usage error, 3 processing error.
 JSON for configs and reports, CSV for the sweep table. EGOMWF_THREADS
-caps the worker count of the sweep driver.
+sets the worker count of the sweep driver when --workers is not given.
 
 The sweep renders each scene once, and its cells share what does not
 depend on method or array size, each part computed on first use: the
@@ -269,6 +269,26 @@ CSV_COLUMNS = [
 ]
 
 
+def _sweep_workers(workers: int | None) -> int:
+    """The sweep's worker count: `workers` when given, else EGOMWF_THREADS,
+    else min(4, cpu count) (also for EGOMWF_THREADS unset, empty or 0).
+
+    Raises ValueError on a count below 1 or a non-integer EGOMWF_THREADS.
+    """
+    if workers is None:
+        env = os.environ.get("EGOMWF_THREADS") or "0"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"EGOMWF_THREADS must be an integer, got {env!r}") from None
+        if workers < 0:
+            raise ValueError(f"EGOMWF_THREADS must be >= 0, got {workers}")
+        return workers or min(4, os.cpu_count() or 1)
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    return workers
+
+
 def run_sweep(
     speech_path: str,
     seeds: list[int],
@@ -288,8 +308,7 @@ def run_sweep(
             scene_cfg = replace(cells[0].scene, duration_s=duration_s)
             tasks.append((scene_cfg, cells))
 
-    if workers is None:
-        workers = int(os.environ.get("EGOMWF_THREADS", "0")) or min(4, os.cpu_count() or 1)
+    workers = _sweep_workers(workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_run_scene_group, tasks))
@@ -324,8 +343,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         return _fail_config(f"bad --seeds list: {args.seeds!r}")
     try:
+        workers = _sweep_workers(args.workers)
+    except ValueError as exc:
+        return _fail_config(str(exc))
+    try:
         t0 = time.perf_counter()
-        rows = run_sweep(args.speech, seeds, duration_s=args.duration, workers=args.workers)
+        rows = run_sweep(args.speech, seeds, duration_s=args.duration, workers=workers)
         elapsed = time.perf_counter() - t0
         write_sweep_outputs(rows, Path(args.output_dir))
     except PROCESSING_ERRORS as exc:

@@ -70,6 +70,16 @@ def estimate_correlations(
 
     r_yy(k) averages y y^H over frames with beta(k, l) = 1, r_nn(k) over
     the complement; y is restricted to `channels` in the given order.
+
+    Bin k's (frames, M) slice of a C-contiguous (bins, frames, channels)
+    grid already is y^T and is read in place; a channel list other than
+    the full width in order, or a non-C-contiguous grid, is first copied
+    once to that layout. conj(y) is written once as a contiguous (bins,
+    M, frames) array, and each sum is conj((conj(y) * w) @ y^T), one
+    stacked zgemm on a reused buffer. It equals (y * w) @ y^H bit for bit:
+    the 0/1 weights make every masked entry exact, and conjugation only
+    negates, which round-to-nearest mirrors exactly. The grid is not
+    modified.
     """
     channels = list(channels)
     if not channels:
@@ -82,9 +92,12 @@ def estimate_correlations(
         raise ValueError(
             f"mask shape {mask.beta.shape} does not match grid {grid.data.shape[:2]}"
         )
-    # contiguous (bins, M, frames) so each masked product is one stacked zgemm
-    y = np.ascontiguousarray(np.moveaxis(grid.data, 2, 1)[:, channels, :])
-    yh = np.conj(np.swapaxes(y, 1, 2))
+    g = grid.data
+    if channels != list(range(grid.n_channels)) or not g.flags.c_contiguous:
+        g = np.ascontiguousarray(g[:, :, channels])
+    y_conj = np.empty((g.shape[0], g.shape[2], g.shape[1]), dtype=np.complex128)
+    np.conjugate(np.swapaxes(g, 1, 2), out=y_conj)
+    masked = np.empty_like(y_conj)
     beta = mask.beta.astype(np.float64)
     l_on = beta.sum(axis=1)
     l_off = beta.shape[1] - l_on
@@ -92,7 +105,7 @@ def estimate_correlations(
     # r_nn gets its own masked product: "total minus speech-active" would
     # cancel catastrophically when few frames are inactive
     def masked_average(w: np.ndarray, count: np.ndarray) -> np.ndarray:
-        acc = (y * w[:, None, :]) @ yh
+        acc = np.conjugate(np.multiply(y_conj, w[:, None, :], out=masked) @ g)
         return _hermitize(acc / np.maximum(count, 1.0)[:, None, None])
 
     return BinStatistics(

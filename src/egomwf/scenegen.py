@@ -5,7 +5,8 @@ geometry: a speech source 2 m out near the floor, a 16-element array
 (12 main + 4 propeller microphones) on a frame 1.15 m up, rotor noise
 sources just above the propeller mics, and an optional external
 microphone 0.2 m above the source. Every scene carries exact per-channel
-speech/noise components and an oracle activity mask.
+speech/noise components; make_oracle_mask turns the reference channel's
+components into an oracle activity mask.
 """
 
 from __future__ import annotations
@@ -141,7 +142,6 @@ class SceneOutput:
     mixture: AudioClip
     speech_image: AudioClip
     noise_image: AudioClip
-    oracle_mask: SppMask
     manifest: dict
 
 
@@ -260,7 +260,7 @@ def _load_speech(cfg: SceneConfig) -> np.ndarray:
 
 
 def render_scene(cfg: SceneConfig) -> SceneOutput:
-    """Render mixture/speech/noise images, oracle mask, and manifest.
+    """Render mixture/speech/noise images and the manifest.
 
     Channel layout: 12 main-array channels, then 4 propeller channels,
     then the external microphone when the geometry includes one. The
@@ -346,7 +346,6 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     speech_clip = AudioClip(speech_image, fs)
     noise_clip = AudioClip(noise_image, fs)
     mixture_clip = AudioClip(mixture, fs)
-    mask = make_oracle_mask(speech_clip.channel(0), noise_clip.channel(0))
 
     achieved = 10.0 * np.log10(np.mean(speech_image[0] ** 2) / np.mean(noise_image[0] ** 2))
     manifest = {
@@ -376,7 +375,6 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
         mixture=mixture_clip,
         speech_image=speech_clip,
         noise_image=noise_clip,
-        oracle_mask=mask,
         manifest=manifest,
     )
 

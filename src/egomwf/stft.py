@@ -17,6 +17,11 @@ from .audio_io import AudioClip
 from .errors import EgomwfError
 
 
+# frames per analysis block: small enough that a block's spectra are
+# still in cache when they are transposed into the grid
+_BLOCK = 16
+
+
 class StftError(EgomwfError):
     pass
 
@@ -113,9 +118,11 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     n_frames, size = frames.shape[-2:]
     k = -(-size // hop)  # frames overlapping one hop-sized block
     lead = frames.shape[:-2]
-    blocks = np.zeros(lead + (n_frames, k * hop))
-    blocks[..., :size] = frames
-    blocks = blocks.reshape(lead + (n_frames, k, hop))
+    if size < k * hop:  # zero-pad each frame to whole hop-sized blocks
+        padded = np.zeros(lead + (n_frames, k * hop))
+        padded[..., :size] = frames
+        frames = padded
+    blocks = frames.reshape(lead + (n_frames, k, hop))
     out = np.zeros(lead + (n_frames + k - 1, hop))
     for j in range(k - 1, -1, -1):
         out[..., j : j + n_frames, :] += blocks[..., j, :]
@@ -130,10 +137,17 @@ def analyze(
     Grid column j holds clip channel channels[j]. Frame f covers samples
     [f*hop, f*hop + fft_size); the final partial frame is zero-padded.
     Frames exist for every start offset below the signal length, i.e.
-    n_frames = ceil(n / hop). Each channel's transform is independent of
-    the others, so a column equals the same channel's column in the full
-    analysis bit for bit. The grid data is C-contiguous, so per-bin
+    n_frames = ceil(n / hop). The grid data is C-contiguous, so per-bin
     products over channels run as stacked BLAS calls without a copy.
+
+    Frames are transformed _BLOCK at a time: windowed from a (channels,
+    frames, fft_size) view of the zero-padded samples into a reused
+    (channels, _BLOCK, fft_size) buffer, transformed along its contiguous
+    last axis into a reused (channels, _BLOCK, bins) buffer, and written
+    transposed into the grid while still in cache. A frame's rfft does
+    not depend on the frames batched with it, so the grid equals a
+    frame-by-frame rfft bit for bit, and a column equals the same
+    channel's column in the full analysis.
     """
     params = params or StftParams()
     if clip.sample_rate_hz != params.sample_rate_hz:
@@ -154,11 +168,16 @@ def analyze(
     padded = np.zeros((len(channels), (n_frames - 1) * hop + nfft))
     for row, c in zip(padded, channels):
         row[:n] = clip.samples[c]
-    # window the (fft, frames, ch) view and transform along its first axis
-    window = params.window_values()[:, None, None]
-    frames = frame_view(padded, nfft, hop).transpose(2, 1, 0) * window
+    frames = frame_view(padded, nfft, hop)
+    window = params.window_values()
     spec = np.empty((params.n_bins, n_frames, len(channels)), dtype=np.complex128)
-    np.fft.rfft(frames, axis=0, out=spec)
+    windowed = np.empty((len(channels), _BLOCK, nfft))
+    block_spec = np.empty((len(channels), _BLOCK, params.n_bins), dtype=np.complex128)
+    for f0 in range(0, n_frames, _BLOCK):
+        b = min(_BLOCK, n_frames - f0)
+        np.multiply(frames[:, f0 : f0 + b], window, out=windowed[:, :b])
+        np.fft.rfft(windowed[:, :b], axis=-1, out=block_spec[:, :b])
+        spec[:, f0 : f0 + b] = block_spec[:, :b].transpose(2, 1, 0)
     return StftGrid(spec, params, n_samples=n)
 
 

@@ -517,6 +517,40 @@ def test_cmd_sweep_bad_seeds(tmp_path, speech_wav):
     assert code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cmd_sweep_bad_workers_exit_2(tmp_path, speech_wav, capsys, workers):
+    code = main(
+        [
+            "sweep",
+            "--output-dir", str(tmp_path / "sw"),
+            "--speech", speech_wav,
+            "--duration", "2.0",
+            "--workers", workers,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and workers in err[0]
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_cmd_sweep_bad_threads_env_exit_2(tmp_path, speech_wav, capsys, monkeypatch, value):
+    monkeypatch.setenv("EGOMWF_THREADS", value)
+    code = main(
+        [
+            "sweep",
+            "--output-dir", str(tmp_path / "sw"),
+            "--speech", speech_wav,
+            "--duration", "2.0",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: EGOMWF_THREADS")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cmd_sweep_cell_failure_exit(tmp_path, speech_wav, monkeypatch):
     import egomwf.cli as cli
 

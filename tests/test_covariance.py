@@ -165,6 +165,52 @@ def test_stacked_products_match_per_bin_loop(rng):
         assert np.linalg.norm(st.r_nn - ref_nn) <= 1e-12 * np.linalg.norm(ref_nn)
 
 
+def _reference_correlations(grid, beta, channels):
+    """Transposed-copy formulation: y (bins, M, frames), its conjugate
+    transpose, and one masked temporary per product."""
+    y = np.ascontiguousarray(np.moveaxis(grid.data, 2, 1)[:, channels, :])
+    yh = np.conj(np.swapaxes(y, 1, 2))
+    w_on = beta.astype(np.float64)
+    l_on = w_on.sum(axis=1)
+    l_off = w_on.shape[1] - l_on
+
+    def average(w, count):
+        acc = (y * w[:, None, :]) @ yh
+        acc = acc / np.maximum(count, 1.0)[:, None, None]
+        return 0.5 * (acc + np.conj(np.swapaxes(acc, -2, -1)))
+
+    return average(w_on, l_on), average(1.0 - w_on, l_off), l_on, l_off
+
+
+@pytest.mark.parametrize(
+    "case", ["full", "permuted", "single", "all_active", "all_inactive", "non_contiguous"]
+)
+def test_matches_transposed_copy_reference_bit_for_bit(rng, case):
+    grid = _make_grid(rng, bins=17, frames=45, channels=6)
+    beta = (rng.uniform(size=(grid.n_bins, 45)) > 0.5).astype(np.uint8)
+    channels = list(range(6))
+    if case == "permuted":
+        channels = [4, 1, 5, 2]
+    elif case == "single":
+        channels = [3]
+    elif case == "all_active":
+        beta[:] = 1
+    elif case == "all_inactive":
+        beta[:] = 0
+    elif case == "non_contiguous":
+        data = np.asfortranarray(grid.data)
+        grid = StftGrid(data, grid.params)
+        assert not grid.data.flags.c_contiguous
+    before = grid.data.copy()
+    stats = estimate_correlations(grid, _mask_from(beta), channels)
+    r_yy, r_nn, l_on, l_off = _reference_correlations(grid, beta, channels)
+    assert np.array_equal(stats.r_yy, r_yy)
+    assert np.array_equal(stats.r_nn, r_nn)
+    assert np.array_equal(stats.l_on, l_on)
+    assert np.array_equal(stats.l_off, l_off)
+    assert np.array_equal(grid.data, before)
+
+
 def test_r_nn_psd_with_one_inactive_frame_beside_loud_speech(rng):
     # r_nn from a single quiet frame must stay an exact rank-1 PSD matrix;
     # a "total minus speech-active" estimate would lose it to cancellation

@@ -15,6 +15,7 @@ from egomwf.scenegen import (
     default_geometry,
     default_suite,
     fractional_delay,
+    make_oracle_mask,
     render_scene,
     steering_delay_gain,
     suite_partition,
@@ -159,7 +160,10 @@ def test_oracle_mask_zero_speech_frames(default_scene):
     s_pow = np.abs(analyze(default_scene.speech_image.channel(0)).data[:, :, 0]) ** 2
     silent_frames = np.where(s_pow.sum(axis=0) == 0)[0]
     assert silent_frames.size > 0
-    assert np.all(default_scene.oracle_mask.beta[:, silent_frames] == 0)
+    mask = make_oracle_mask(
+        default_scene.speech_image.channel(0), default_scene.noise_image.channel(0)
+    )
+    assert np.all(mask.beta[:, silent_frames] == 0)
 
 
 def test_scene_determinism(speech_wav):

@@ -140,19 +140,25 @@ def test_sqrt_hann_is_periodic():
 
 
 def test_analyze_matches_per_frame_reference(rng):
-    """The strided framing gives exactly the spectra of explicit frames."""
+    """The blocked, strided framing gives exactly the spectra of explicit frames."""
     params = StftParams()
     nfft, hop = params.fft_size, params.hop
-    n = 5 * hop + 37  # last frame zero-padded
-    x = rng.standard_normal((3, n))
-    grid = analyze(AudioClip(x, 16000), params)
     w = params.window_values()
-    for c in range(3):
-        for f in range(grid.n_frames):
-            frame = np.zeros(nfft)
-            seg = x[c, f * hop : f * hop + nfft]
-            frame[: seg.size] = seg
-            assert np.array_equal(grid.data[:, f, c], np.fft.rfft(frame * w))
+    for n_hops, n_channels, channels in (
+        (5, 3, None),  # fewer frames than one analysis block
+        (36, 2, None),  # two full blocks of 16 frames and a partial one
+        (20, 6, [5, 0, 3]),  # a listed channel subset
+    ):
+        n = n_hops * hop + 37  # last frame zero-padded
+        x = rng.standard_normal((n_channels, n))
+        grid = analyze(AudioClip(x, 16000), params, channels)
+        assert grid.n_frames == n_hops + 1
+        for col, c in enumerate(range(n_channels) if channels is None else channels):
+            for f in range(grid.n_frames):
+                frame = np.zeros(nfft)
+                seg = x[c, f * hop : f * hop + nfft]
+                frame[: seg.size] = seg
+                assert np.array_equal(grid.data[:, f, col], np.fft.rfft(frame * w))
 
 
 @pytest.mark.parametrize("nfft, hop", [(512, 256), (16, 4), (16, 5), (16, 16)])
