@@ -19,8 +19,8 @@ from .filters import (
     compute_mwf,
     compute_pkmwf,
 )
-from .gevd import PencilDecomposition, cholesky, gevd, hermitian_eig
-from .metrics import MetricsReport, evaluate, evaluate_clips, snr_db, stoi
+from .gevd import PencilDecomposition, gevd
+from .metrics import MetricsReport, evaluate, snr_db, stoi
 from .pipeline import EnhanceResult, apply_filterbank, enhance
 from .scenegen import (
     SceneConfig,
@@ -30,7 +30,7 @@ from .scenegen import (
     steering_delay_gain,
     synth_ego_noise,
 )
-from .spp import SppMask, SppParams, estimate_spp, select_spp_channel
+from .spp import SppMask, SppParams, estimate_spp
 from .stft import StftGrid, StftParams, analyze, synthesize
 
 __version__ = "0.1.0"
@@ -39,13 +39,13 @@ __all__ = [
     "EgomwfError",
     "AudioClip", "read_wav", "write_wav", "resample",
     "StftParams", "StftGrid", "analyze", "synthesize",
-    "SppParams", "SppMask", "estimate_spp", "select_spp_channel",
+    "SppParams", "SppMask", "estimate_spp",
     "BinStatistics", "estimate_correlations", "regularize",
-    "PencilDecomposition", "cholesky", "hermitian_eig", "gevd",
+    "PencilDecomposition", "gevd",
     "ChannelPartition", "FilterBank", "build_selection_blocking",
     "compute_mwf", "compute_gsc", "compute_pkmwf", "build_filterbank",
     "EnhanceResult", "apply_filterbank", "enhance",
-    "MetricsReport", "snr_db", "stoi", "evaluate", "evaluate_clips",
+    "MetricsReport", "snr_db", "stoi", "evaluate",
     "SceneConfig", "SceneOutput", "steering_delay_gain",
     "synth_ego_noise", "render_scene", "default_suite",
     "EnhanceConfig", "parse_config", "load_config",

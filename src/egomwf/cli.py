@@ -1,8 +1,11 @@
 """Command-line surface: enhance, simulate, evaluate, sweep.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 processing error.
-JSON for configs and reports, CSV for the sweep table. EGOMWF_THREADS
-sets the worker count of the sweep driver when --workers is not given.
+JSON for configs and reports, CSV for the sweep table. The enhance
+config file holds processing settings only; every file path comes from a
+flag. The evaluate report is metrics.score_input on the clean/noisy pair
+followed by metrics.score_output on the processed file. The sweep runs
+--workers processes, by default min(4, cpu count).
 
 The sweep renders each scene once, and its cells share what does not
 depend on method or array size, each part computed on first use: the
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -33,7 +37,7 @@ from .audio_io import AudioClip, AudioError, read_wav, write_wav
 from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
 from .filters import METHODS
-from .metrics import InputScores, evaluate_clips, score_input, score_output
+from .metrics import InputScores, score_input, score_output
 from .pipeline import EnhanceResult, InputAnalysis, enhance
 from .scenegen import (
     DEFAULT_SNRS_DB,
@@ -95,18 +99,15 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail_config(str(exc))
     try:
-        external = args.external or cfg.external_path
-        clip = _load_multichannel(args.input, external)
-        if cfg.spp_mode == "external" and cfg.spp_channel is None and external is not None:
+        clip = _load_multichannel(args.input, args.external)
+        if cfg.spp_mode == "external" and cfg.spp_channel is None and args.external is not None:
             cfg = replace(cfg, spp_channel=clip.n_channels - 1)
         speech_ref = noise_ref = None
-        speech_path = args.speech_ref or cfg.speech_ref_path
-        noise_path = args.noise_ref or cfg.noise_ref_path
-        if cfg.spp_mode == "oracle" and not (speech_path and noise_path):
+        if cfg.spp_mode == "oracle" and not (args.speech_ref and args.noise_ref):
             return _fail_config("oracle SPP mode needs --speech-ref and --noise-ref")
-        if speech_path and noise_path:
-            speech_ref = read_wav(speech_path)
-            noise_ref = read_wav(noise_path)
+        if args.speech_ref and args.noise_ref:
+            speech_ref = read_wav(args.speech_ref)
+            noise_ref = read_wav(args.noise_ref)
         t0 = time.perf_counter()
         result = enhance(clip, cfg, speech_ref, noise_ref)
         elapsed = time.perf_counter() - t0
@@ -129,51 +130,32 @@ def cmd_enhance(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if not args.default_suite and not args.scene_config:
-        return _fail_config("need --scene-config or --default-suite")
-    out_dir = Path(args.output_dir)
+    if not args.scene_config:
+        return _fail_config("need --scene-config")
+    cfg_path = Path(args.scene_config)
+    if not cfg_path.is_file():
+        return _fail_config(f"scene config not found: {cfg_path}")
     try:
-        if args.default_suite:
-            cells = default_suite(args.speech, seed=args.seed)
-            manifest_dir = out_dir / "manifests"
-            manifest_dir.mkdir(parents=True, exist_ok=True)
-            rendered: dict[float, dict] = {}
-            for idx, cell in enumerate(cells):
-                snr = cell.scene.target_snr_db
-                if snr not in rendered:
-                    scene_dir = out_dir / "scenes" / f"snr_{snr:+.0f}dB"
-                    scene = render_scene(replace(cell.scene, duration_s=args.duration))
-                    rendered[snr] = {"dir": str(scene_dir), "manifest": write_scene(scene, scene_dir)}
-                entry = dict(cell.key())
-                entry["scene_dir"] = rendered[snr]["dir"]
-                (manifest_dir / f"cell_{idx:03d}.json").write_text(
-                    json.dumps(entry, indent=2, sort_keys=True)
-                )
-            print(f"wrote {len(cells)} cell manifests and {len(rendered)} scenes under {out_dir}")
-        else:
-            cfg_path = Path(args.scene_config)
-            if not cfg_path.is_file():
-                return _fail_config(f"scene config not found: {cfg_path}")
-            raw = json.loads(cfg_path.read_text())
-            raw.setdefault("speech_path", args.speech)
-            cfg = SceneConfig(**raw)
-            if args.duration is not None:
-                cfg = replace(cfg, duration_s=args.duration)
-            scene = render_scene(cfg)
-            write_scene(scene, out_dir)
-            print(f"wrote scene under {out_dir}")
+        raw = json.loads(cfg_path.read_text())
+        if not isinstance(raw, dict) or "geometry" in raw:
+            raise TypeError("expected a JSON object of SceneConfig fields other than geometry")
+        raw.setdefault("speech_path", args.speech)
+        cfg = SceneConfig(**raw)
+        if args.duration is not None:
+            cfg = replace(cfg, duration_s=args.duration)
+        write_scene(render_scene(cfg), Path(args.output_dir))
     except (TypeError, json.JSONDecodeError) as exc:
         return _fail_config(f"bad scene config: {exc}")
     except PROCESSING_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROCESSING
+    print(f"wrote scene under {args.output_dir}")
     return EXIT_OK
 
 
 def _reference_channel(path: str) -> AudioClip:
     """First (reference) channel of a possibly multichannel WAV."""
-    clip = read_wav(path)
-    return clip.channel(0) if clip.n_channels > 1 else clip
+    return read_wav(path).channel(0)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -182,9 +164,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.shadow_speech and args.shadow_noise:
             shadow_speech = _reference_channel(args.shadow_speech)
             shadow_noise = _reference_channel(args.shadow_noise)
-        report = evaluate_clips(
-            _reference_channel(args.clean),
-            _reference_channel(args.noisy),
+        report = score_output(
+            score_input(_reference_channel(args.clean), _reference_channel(args.noisy)),
             _reference_channel(args.processed),
             shadow_speech,
             shadow_noise,
@@ -270,20 +251,12 @@ CSV_COLUMNS = [
 
 
 def _sweep_workers(workers: int | None) -> int:
-    """The sweep's worker count: `workers` when given, else EGOMWF_THREADS,
-    else min(4, cpu count) (also for EGOMWF_THREADS unset, empty or 0).
+    """The sweep's worker count: `workers` when given, else min(4, cpu count).
 
-    Raises ValueError on a count below 1 or a non-integer EGOMWF_THREADS.
+    Raises ValueError on a count below 1.
     """
     if workers is None:
-        env = os.environ.get("EGOMWF_THREADS") or "0"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"EGOMWF_THREADS must be an integer, got {env!r}") from None
-        if workers < 0:
-            raise ValueError(f"EGOMWF_THREADS must be >= 0, got {workers}")
-        return workers or min(4, os.cpu_count() or 1)
+        return min(4, os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
@@ -382,12 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the shadow-filtered noise component here")
     p.set_defaults(func=cmd_enhance)
 
-    p = sub.add_parser("simulate", help="render synthetic scenes")
+    p = sub.add_parser("simulate", help="render a synthetic scene")
     p.add_argument("--scene-config", dest="scene_config")
-    p.add_argument("--default-suite", dest="default_suite", action="store_true")
     p.add_argument("--output-dir", dest="output_dir", required=True)
     p.add_argument("--speech", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float)
     p.set_defaults(func=cmd_simulate)
 
@@ -413,6 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # simulate and sweep: reject a bad --duration before any work
+    duration = getattr(args, "duration", None)
+    if duration is not None and not 0 < duration < math.inf:
+        return _fail_config(f"--duration must be finite and positive, got {duration}")
     return args.func(args)
 
 

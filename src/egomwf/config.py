@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .covariance import DEFAULT_LOADING
 from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition, FilterError
 from .spp import SPP_MODES, SppError, SppParams
@@ -36,13 +37,7 @@ class EnhanceConfig:
     spp_mode: str = "internal"
     spp_channel: int | None = None
     method: str = "pk-mwf"
-    delta: float = 1e-6
-    input_path: str | None = None
-    output_path: str | None = None
-    report_path: str | None = None
-    external_path: str | None = None
-    speech_ref_path: str | None = None
-    noise_ref_path: str | None = None
+    delta: float = DEFAULT_LOADING
 
     def __post_init__(self):
         violations = validate_semantics(self)
@@ -59,7 +54,6 @@ class EnhanceConfig:
             "stft": {
                 "fft_size": self.stft.fft_size,
                 "hop": self.stft.hop,
-                "window": self.stft.window,
                 "sample_rate_hz": self.stft.sample_rate_hz,
             },
         }
@@ -75,8 +69,6 @@ def validate_semantics(cfg: EnhanceConfig) -> list[str]:
         violations.append(f"delta must be >= 0, got {cfg.delta}")
     if cfg.spp_channel is not None and cfg.spp_channel < 0:
         violations.append(f"spp_channel must be >= 0, got {cfg.spp_channel}")
-    if cfg.spp_mode == "oracle" and (cfg.speech_ref_path is None or cfg.noise_ref_path is None) and cfg.input_path is not None:
-        violations.append("oracle SPP mode needs ground-truth speech/noise component paths")
     return violations
 
 
@@ -95,7 +87,7 @@ def _parse_section(raw: dict, key: str, builder, errors: list[str], default):
 
 
 def _build_stft(section: dict) -> StftParams:
-    allowed = {"fft_size", "hop", "window", "sample_rate_hz"}
+    allowed = {"fft_size", "hop", "sample_rate_hz"}
     unknown = set(section) - allowed
     if unknown:
         raise TypeError(f"unknown keys {sorted(unknown)}")
@@ -142,33 +134,19 @@ def parse_config(raw: dict, overrides: dict | None = None) -> EnhanceConfig:
     else:
         partition = _parse_section(raw, "partition", _build_partition, errors, lambda: None)
 
-    known = {
-        "stft", "spp", "partition", "spp_mode", "spp_channel", "method", "delta",
-        "input_path", "output_path", "report_path", "external_path",
-        "speech_ref_path", "noise_ref_path",
-    }
+    known = {"stft", "spp", "partition", "spp_mode", "spp_channel", "method", "delta"}
     unknown = set(raw) - known
     if unknown:
         errors.append(f"unknown top-level keys: {sorted(unknown)}")
 
     if errors or partition is None:
         raise ConfigError(errors or ["partition: could not be parsed"])
+    # keys the file leaves out take EnhanceConfig's defaults
+    settings = {k: raw[k] for k in ("spp_mode", "spp_channel", "method", "delta") if k in raw}
     try:
-        return EnhanceConfig(
-            partition=partition,
-            stft=stft,
-            spp=spp,
-            spp_mode=raw.get("spp_mode", "internal"),
-            spp_channel=raw.get("spp_channel"),
-            method=raw.get("method", "pk-mwf"),
-            delta=float(raw.get("delta", 1e-6)),
-            input_path=raw.get("input_path"),
-            output_path=raw.get("output_path"),
-            report_path=raw.get("report_path"),
-            external_path=raw.get("external_path"),
-            speech_ref_path=raw.get("speech_ref_path"),
-            noise_ref_path=raw.get("noise_ref_path"),
-        )
+        if "delta" in settings:
+            settings["delta"] = float(settings["delta"])
+        return EnhanceConfig(partition=partition, stft=stft, spp=spp, **settings)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

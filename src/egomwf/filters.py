@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import BinStatistics, regularize
+from .covariance import DEFAULT_LOADING, BinStatistics, regularize
 from .errors import EgomwfError
 from .gevd import gevd
 
@@ -262,7 +262,7 @@ def build_filterbank(
     stats: BinStatistics,
     partition: ChannelPartition,
     method: str,
-    delta: float = 1e-6,
+    delta: float = DEFAULT_LOADING,
 ) -> FilterBank:
     """Weights for a stack of bins, with regularization and fallbacks.
 

@@ -1,11 +1,10 @@
 """Hermitian GEVD on batched LAPACK.
 
-Cholesky factorization, the lower-triangular solve, the Hermitian
-eigensolver and the generalized eigendecomposition of the pencil
-{R_yy, R_nn} via whitening, as thin wrappers over numpy.linalg.
-Everything accepts stacked inputs (..., M, M); LAPACK factors each slice
-on its own, so a slice's result does not depend on what else shares the
-batch.
+The generalized eigendecomposition of the pencil {R_yy, R_nn} via
+Cholesky whitening, a lower-triangular solve on each side and the
+Hermitian eigensolver of numpy.linalg. It accepts stacked inputs
+(..., M, M); LAPACK factors each slice on its own, so a slice's result
+does not depend on what else shares the batch.
 
 Convention: gevd() returns Q with R_nn = Q Q^H and R_yy = Q diag(s_y) Q^H,
 i.e. the noise eigenvalues are normalized to one and the ratio sort
@@ -39,40 +38,8 @@ class PencilDecomposition:
     sigma_n: np.ndarray
 
 
-def _as_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
-    return a
-
-
 def _herm(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -2, -1))
-
-
-def check_hermitian(a: np.ndarray, rtol: float = 1e-10) -> None:
-    a = np.asarray(a)
-    scale = np.linalg.norm(a, axis=(-2, -1))
-    dev = np.linalg.norm(a - _herm(a), axis=(-2, -1))
-    if np.any(dev > rtol * np.maximum(scale, np.finfo(float).tiny)):
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with positive real diagonal and L L^H = a.
-
-    Accepts stacks (..., M, M). Raises NotPositiveDefiniteError on a
-    non-positive pivot anywhere in the stack.
-    """
-    try:
-        return np.linalg.cholesky(_as_square(a))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
-
-
-def solve_lower(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with low @ X = rhs (low lower-triangular), batched over leading axes."""
-    return np.linalg.solve(_as_square(low), np.asarray(rhs, dtype=np.complex128))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -83,32 +50,26 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * np.where(mag > 0, np.conj(lead) / np.where(mag > 0, mag, 1.0), 1.0)
 
 
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of Hermitian matrices.
-
-    Returns (eigenvalues descending, eigenvectors as columns); accepts
-    stacks (..., M, M). Deterministic, with a fixed phase convention on
-    the eigenvectors.
-    """
-    a = _as_square(a)
-    check_hermitian(a)
-    lam, v = np.linalg.eigh(0.5 * (a + _herm(a)))
-    return lam[..., ::-1], _fix_phase(v[..., ::-1])
-
-
 def gevd(r_yy: np.ndarray, r_nn: np.ndarray) -> PencilDecomposition:
     """GEVD of the pencil {r_yy, r_nn} via Cholesky whitening.
 
-    r_nn must be positive definite (regularize first). The returned
-    decomposition satisfies r_yy = Q diag(sigma_y) Q^H and
+    r_nn must be positive definite (regularize first); a non-positive
+    pivot anywhere in the stack raises NotPositiveDefiniteError. The
+    returned decomposition satisfies r_yy = Q diag(sigma_y) Q^H and
     r_nn = Q diag(sigma_n) Q^H with sigma_n identically one.
     """
     r_yy = np.asarray(r_yy, dtype=np.complex128)
     r_nn = np.asarray(r_nn, dtype=np.complex128)
     if r_yy.shape != r_nn.shape:
         raise ValueError(f"pencil shape mismatch: {r_yy.shape} vs {r_nn.shape}")
-    low = cholesky(r_nn)
-    t = solve_lower(low, r_yy)  # L^-1 R_yy
-    w = _herm(solve_lower(low, _herm(t)))  # L^-1 R_yy L^-H
-    lam, u = hermitian_eig(0.5 * (w + _herm(w)))
+    if r_nn.ndim < 2 or r_nn.shape[-1] != r_nn.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {r_nn.shape}")
+    try:
+        low = np.linalg.cholesky(r_nn)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
+    t = np.linalg.solve(low, r_yy)  # L^-1 R_yy
+    w = _herm(np.linalg.solve(low, _herm(t)))  # L^-1 R_yy L^-H
+    lam, u = np.linalg.eigh(0.5 * (w + _herm(w)))
+    lam, u = lam[..., ::-1], _fix_phase(u[..., ::-1])
     return PencilDecomposition(q=low @ u, sigma_y=lam, sigma_n=np.ones_like(lam))

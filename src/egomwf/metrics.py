@@ -174,34 +174,27 @@ def stoi(clean: AudioClip, processed: AudioClip, rate_hz: int | None = None) -> 
     return float(np.mean(num / den))
 
 
-def evaluate(
-    result: EnhanceResult,
-    clean_ref: AudioClip,
-    noisy_ref: AudioClip,
-    method: str = "",
-    partition: dict | None = None,
-    spp_mode: str = "",
-) -> MetricsReport:
+def evaluate(result: EnhanceResult, clean_ref: AudioClip, noisy_ref: AudioClip) -> MetricsReport:
     """Input/output SNR (via shadow components) and STOI for one run.
 
-    evaluate_clips on the run's enhanced output and shadow components,
-    labelled with the given method, partition and SPP mode or, where
-    they are left empty, with the run's own.
+    score_input on the references, then score_output on the run's
+    enhanced output and shadow components (the clean reference is
+    resampled to the STOI rate once for both), labelled with the run's
+    method, partition and SPP mode.
     """
-    report = evaluate_clips(
-        clean_ref, noisy_ref, result.enhanced, result.shadow_speech, result.shadow_noise
-    )
+    inputs = score_input(clean_ref, noisy_ref)
+    report = score_output(inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
     return replace(
         report,
-        method=method or result.filterbank.method,
-        partition=partition or result.filterbank.partition.describe(),
-        spp_mode=spp_mode or result.mask.source_channel[0],
+        method=result.filterbank.method,
+        partition=result.filterbank.partition.describe(),
+        spp_mode=result.mask.source_channel[0],
     )
 
 
 @dataclass(frozen=True, eq=False)
 class InputScores:
-    """What evaluate_clips measures on a clean/noisy reference pair alone.
+    """What score_input measures on a clean/noisy reference pair alone.
 
     Every run scored against the same pair shares it: clean is the clean
     reference at the STOI rate, rate_hz the rate the references (and the
@@ -271,17 +264,3 @@ def score_output(
         flags=tuple(flags),
     )
 
-
-def evaluate_clips(
-    clean_ref: AudioClip,
-    noisy_ref: AudioClip,
-    enhanced: AudioClip,
-    shadow_speech: AudioClip | None = None,
-    shadow_noise: AudioClip | None = None,
-) -> MetricsReport:
-    """Input/output SNR and STOI from single-channel clips.
-
-    score_input on the references, then score_output on the run: the
-    clean reference is resampled to the STOI rate once for both scores.
-    """
-    return score_output(score_input(clean_ref, noisy_ref), enhanced, shadow_speech, shadow_noise)

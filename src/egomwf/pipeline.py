@@ -28,7 +28,7 @@ from .covariance import BinStatistics, estimate_correlations
 from .errors import EgomwfError
 from .filters import FilterBank, build_filterbank, filter_partition
 from .scenegen import make_oracle_mask
-from .spp import SppMask, SppParams, estimate_spp, select_spp_channel
+from .spp import SppMask, SppParams, estimate_spp
 from .stft import StftGrid, StftParams, analyze, synthesize
 
 
@@ -48,31 +48,24 @@ class EnhanceResult:
         return self.filterbank.status_counts()
 
 
-def apply_filterbank(
-    grid: StftGrid, fb: FilterBank, channels: Sequence[int] | None = None
-) -> np.ndarray:
+def apply_filterbank(grid: StftGrid, fb: FilterBank, channels: Sequence[int]) -> np.ndarray:
     """d(k, l) = w(k)^H y(k, l).
 
     channels lists the grid channels the weights act on, in weight
-    order; by default the grid must hold exactly those channels already
-    in partition order. Listed channels are served by spreading the
-    weights to the full grid width (zero elsewhere), so the product runs
-    on the grid as it is, without a channel copy.
+    order. They are served by spreading the weights to the full grid
+    width (zero elsewhere), so the product runs on the grid as it is,
+    without a channel copy.
     """
     n_bins, m = fb.weights.shape
     if grid.n_bins != n_bins:
         raise PipelineError(f"grid has {grid.n_bins} bins but filterbank has {n_bins}")
-    weights = fb.weights
-    if channels is not None:
-        if len(channels) != m or any(not 0 <= c < grid.n_channels for c in channels):
-            raise PipelineError(
-                f"channels {list(channels)} do not fit {m} weights on a "
-                f"{grid.n_channels}-channel grid"
-            )
-        weights = np.zeros((n_bins, grid.n_channels), dtype=np.complex128)
-        weights[:, list(channels)] = fb.weights
-    elif grid.n_channels != m:
-        raise PipelineError(f"grid has {grid.n_channels} channels but filterbank expects {m}")
+    if len(channels) != m or any(not 0 <= c < grid.n_channels for c in channels):
+        raise PipelineError(
+            f"channels {list(channels)} do not fit {m} weights on a "
+            f"{grid.n_channels}-channel grid"
+        )
+    weights = np.zeros((n_bins, grid.n_channels), dtype=np.complex128)
+    weights[:, list(channels)] = fb.weights
     return (grid.data @ np.conj(weights)[:, :, None])[:, :, 0]
 
 
@@ -153,7 +146,7 @@ class InputAnalysis:
         mode, channel = source
         if mode != "oracle":
             grid, column = self._spectrogram_grid(channel)
-            return estimate_spp(select_spp_channel(grid, mode, column), spp, source)
+            return estimate_spp(grid.channel_slice(column), spp, source)
         if self.speech_ref is None or self.noise_ref is None:
             raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
         mask = make_oracle_mask(

@@ -135,6 +135,10 @@ class SceneConfig:
             raise SceneError("rotor speeds must be positive")
         if not math.isfinite(self.target_snr_db):
             raise SceneError("target SNR must be finite")
+        if self.duration_s is not None and not 0 < self.duration_s < math.inf:
+            raise SceneError(f"duration must be finite and positive, got {self.duration_s}")
+        if self.sample_rate_hz <= 0:
+            raise SceneError(f"sample rate must be positive, got {self.sample_rate_hz}")
 
 
 @dataclass(frozen=True, eq=False)

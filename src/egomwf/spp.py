@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EgomwfError
-from .stft import StftGrid
 
 SPP_MODES = ("internal", "external", "oracle")
 
@@ -127,16 +126,3 @@ def estimate_spp(
     beta = (spp >= params.threshold).astype(np.uint8)
     return SppMask(spp=spp, beta=beta, source_channel=source_channel)
 
-
-def select_spp_channel(grid: StftGrid, mode: str, index: int) -> np.ndarray:
-    """Single-channel spectrogram feeding estimate_spp.
-
-    mode "internal" picks an embedded-array channel, "external" the
-    reference microphone recorded as an extra channel; either way the
-    result is just the grid slice at `index`.
-    """
-    if mode not in ("internal", "external"):
-        raise SppError(f"unknown SPP mode {mode!r}")
-    if not 0 <= index < grid.n_channels:
-        raise SppError(f"SPP channel {index} out of range (grid has {grid.n_channels})")
-    return grid.channel_slice(index)

@@ -36,7 +36,6 @@ def sqrt_hann_periodic(n: int) -> np.ndarray:
 class StftParams:
     fft_size: int = 512
     hop: int = 256
-    window: str = "sqrt-hann-periodic"
     sample_rate_hz: int = 16000
 
     def __post_init__(self):
@@ -44,16 +43,12 @@ class StftParams:
             raise StftError(f"fft_size must be even and >= 8, got {self.fft_size}")
         if self.hop <= 0 or self.hop > self.fft_size:
             raise StftError(f"hop must be in 1..fft_size, got {self.hop}")
-        if self.window not in ("sqrt-hann-periodic", "rect"):
-            raise StftError(f"unknown window {self.window!r}")
 
     @property
     def n_bins(self) -> int:
         return self.fft_size // 2 + 1
 
     def window_values(self) -> np.ndarray:
-        if self.window == "rect":
-            return np.ones(self.fft_size)
         return sqrt_hann_periodic(self.fft_size)
 
 
@@ -92,15 +87,6 @@ class StftGrid:
         if not 0 <= index < self.n_channels:
             raise StftError(f"channel {index} out of range (have {self.n_channels})")
         return self.data[:, :, index]
-
-    def select_channels(self, channels: list[int]) -> "StftGrid":
-        """Sub-grid restricted to the listed channels, in the given order,
-        C-contiguous like the grid analyze() gives for those channels."""
-        for c in channels:
-            if not 0 <= c < self.n_channels:
-                raise StftError(f"channel {c} out of range (have {self.n_channels})")
-        data = np.ascontiguousarray(self.data[:, :, list(channels)])
-        return StftGrid(data, self.params, self.n_samples)
 
 
 def frame_view(x: np.ndarray, size: int, hop: int) -> np.ndarray:

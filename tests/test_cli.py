@@ -48,6 +48,24 @@ def test_parse_config_minimal():
     assert cfg.partition.n_total == 2
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"input_path": "in.wav"},
+        {"output_path": "out.wav"},
+        {"report_path": "r.json"},
+        {"external_path": "ext.wav"},
+        {"speech_ref_path": "s.wav", "noise_ref_path": "n.wav", "spp_mode": "oracle"},
+        {"stft": {"window": "rect"}},
+    ],
+)
+def test_parse_config_rejects_paths_and_window(raw):
+    # file paths come from flags; the window is fixed
+    with pytest.raises(ConfigError) as err:
+        parse_config({"partition": {"speech_noise_channels": [0]}, **raw})
+    assert "unknown" in str(err.value)
+
+
 def test_parse_config_collects_all_violations():
     raw = {
         "partition": {"speech_noise_channels": [0, 1], "noise_only_channels": [1]},
@@ -306,26 +324,6 @@ def test_cmd_simulate_single_scene(tmp_path, speech_wav):
     assert manifest["achieved_snr_db"] == pytest.approx(-10.0, abs=0.1)
 
 
-def test_cmd_simulate_default_suite(tmp_path, speech_wav):
-    out = tmp_path / "suite"
-    code = main(
-        [
-            "simulate",
-            "--default-suite",
-            "--output-dir", str(out),
-            "--speech", speech_wav,
-            "--duration", "1.5",
-        ]
-    )
-    assert code == 0
-    manifests = sorted((out / "manifests").glob("cell_*.json"))
-    assert len(manifests) == 81
-    scenes = sorted((out / "scenes").iterdir())
-    assert len(scenes) == 3
-    entry = json.loads(manifests[0].read_text())
-    assert set(entry) >= {"snr_db", "m_speech_noise", "spp_mode", "method", "scene_dir"}
-
-
 def test_cmd_simulate_deterministic_bytes(tmp_path, speech_wav):
     outs = []
     for name in ("a", "b"):
@@ -355,6 +353,40 @@ def test_cmd_simulate_deterministic_bytes(tmp_path, speech_wav):
         assert code == 0
         outs.append((out / "mixture.wav").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("raw", [[{"seed": 1}], {"seed": 1, "geometry": {"array": [[0, 0, 0]]}}])
+def test_cmd_simulate_malformed_scene_config_exit_2(tmp_path, speech_wav, capsys, raw):
+    scene_cfg = tmp_path / "scene.json"
+    scene_cfg.write_text(json.dumps(raw))
+    code = main(
+        [
+            "simulate",
+            "--scene-config", str(scene_cfg),
+            "--output-dir", str(tmp_path / "out"),
+            "--speech", speech_wav,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad scene config:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("duration", ["-2.5", "0", "nan", "inf"])
+def test_cmd_bad_duration_exit_2(tmp_path, speech_wav, capsys, command, duration):
+    scene_cfg = tmp_path / "scene.json"
+    scene_cfg.write_text(json.dumps({"seed": 1}))
+    extra = {"simulate": ["--scene-config", str(scene_cfg)], "sweep": ["--workers", "1"]}
+    code = main(
+        [command, "--output-dir", str(tmp_path / "out"), "--speech", speech_wav,
+         "--duration", duration, *extra[command]]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --duration")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_simulate_requires_mode(tmp_path, speech_wav):
@@ -496,14 +528,14 @@ def test_sweep_parallel_matches_serial(speech_wav, short_sweep):
     assert parallel == short_sweep
 
 
-def test_cmd_sweep(tmp_path, speech_wav, monkeypatch):
-    monkeypatch.setenv("EGOMWF_THREADS", "2")
+def test_cmd_sweep(tmp_path, speech_wav):
     code = main(
         [
             "sweep",
             "--output-dir", str(tmp_path / "sw"),
             "--speech", speech_wav,
             "--duration", "2.0",
+            "--workers", "2",
         ]
     )
     assert code == 0
@@ -534,23 +566,6 @@ def test_cmd_sweep_bad_workers_exit_2(tmp_path, speech_wav, capsys, workers):
     assert not (tmp_path / "sw").exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
-def test_cmd_sweep_bad_threads_env_exit_2(tmp_path, speech_wav, capsys, monkeypatch, value):
-    monkeypatch.setenv("EGOMWF_THREADS", value)
-    code = main(
-        [
-            "sweep",
-            "--output-dir", str(tmp_path / "sw"),
-            "--speech", speech_wav,
-            "--duration", "2.0",
-        ]
-    )
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: EGOMWF_THREADS")
-    assert not (tmp_path / "sw").exists()
-
-
 def test_cmd_sweep_cell_failure_exit(tmp_path, speech_wav, monkeypatch):
     import egomwf.cli as cli
 
@@ -561,13 +576,13 @@ def test_cmd_sweep_cell_failure_exit(tmp_path, speech_wav, monkeypatch):
         return real(scene, cell)
 
     monkeypatch.setattr(cli, "run_cell", broken)
-    monkeypatch.setenv("EGOMWF_THREADS", "1")
     code = main(
         [
             "sweep",
             "--output-dir", str(tmp_path / "sw"),
             "--speech", speech_wav,
             "--duration", "2.0",
+            "--workers", "1",
         ]
     )
     assert code == 3

@@ -114,20 +114,21 @@ def test_evaluate_passthrough_filter(default_scene):
 
     fb = replace(result.filterbank, weights=w)
     order = list(fb.partition.ordered_channels)
-    grid = analyze(default_scene.mixture).select_channels(order)
+    grid = analyze(default_scene.mixture, channels=order)
+    columns = range(len(order))
 
     def synth(g):
         return synthesize(StftGrid(g[:, :, None], grid.params, grid.n_samples))
 
     passthrough = EnhanceResult(
-        enhanced=synth(apply_filterbank(grid, fb)),
+        enhanced=synth(apply_filterbank(grid, fb, columns)),
         filterbank=fb,
         mask=result.mask,
         shadow_speech=synth(
-            apply_filterbank(analyze(default_scene.speech_image).select_channels(order), fb)
+            apply_filterbank(analyze(default_scene.speech_image, channels=order), fb, columns)
         ),
         shadow_noise=synth(
-            apply_filterbank(analyze(default_scene.noise_image).select_channels(order), fb)
+            apply_filterbank(analyze(default_scene.noise_image, channels=order), fb, columns)
         ),
     )
     report = evaluate(
@@ -263,6 +264,6 @@ def test_evaluate_clips_resamples_clean_reference_once(rng, monkeypatch):
 
     monkeypatch.setattr(metrics, "resample", counted)
     noise = _clip(noisy.samples[0] - clean.samples[0])
-    report = metrics.evaluate_clips(clean, noisy, noisy, clean, noise)
+    report = metrics.score_output(metrics.score_input(clean, noisy), noisy, clean, noise)
     assert len(calls) == 3  # clean, noisy, enhanced
     assert report.stoi_in == report.stoi_out == stoi(clean, noisy)

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import egomwf
+from egomwf.config import EnhanceConfig
 
 
 def test_every_export_resolves():
@@ -45,6 +47,18 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def test_every_config_field_is_read():
+    """Each EnhanceConfig field is read as `.<field>` by some package module
+    other than config.py, so a setting that nothing acts on fails here."""
+    read = set()
+    for path in Path(egomwf.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text())
+            read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [f.name for f in dataclasses.fields(EnhanceConfig) if f.name not in read]
+    assert not unread, unread
 
 
 def test_benchmark_probe_bindings_resolve():

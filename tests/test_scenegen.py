@@ -192,6 +192,23 @@ def test_scene_config_validation(speech_wav):
         SceneConfig(speech_path=speech_wav, target_snr_db=float("inf"))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"duration_s": -1.0},
+        {"duration_s": 0.0},
+        {"duration_s": float("nan")},
+        {"duration_s": float("inf")},
+        {"sample_rate_hz": 0},
+        {"sample_rate_hz": -16000},
+    ],
+)
+def test_scene_config_rejects_bad_duration_and_rate(speech_wav, kwargs):
+    # a negative duration used to slice from the end and render a shorter scene
+    with pytest.raises(SceneError):
+        SceneConfig(speech_path=speech_wav, **kwargs)
+
+
 def test_zero_speech_rejected(tmp_path):
     from egomwf.audio_io import write_wav
 

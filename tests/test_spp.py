@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from egomwf.scenegen import make_oracle_mask
-from egomwf.spp import SppError, SppParams, estimate_spp, select_spp_channel
-from egomwf.stft import StftGrid, StftParams, analyze
+from egomwf.spp import SppError, SppParams, estimate_spp
+from egomwf.stft import analyze
 
 
 def _noise_spec(rng, bins=64, frames=200, scale=1.0):
@@ -91,20 +91,6 @@ def test_param_validation():
     ):
         with pytest.raises(SppError):
             SppParams(**kwargs)
-
-
-def test_select_spp_channel(rng):
-    params = StftParams()
-    data = rng.standard_normal((params.n_bins, 10, 3)) + 1j * rng.standard_normal(
-        (params.n_bins, 10, 3)
-    )
-    grid = StftGrid(data, params)
-    assert np.array_equal(select_spp_channel(grid, "internal", 0), data[:, :, 0])
-    assert np.array_equal(select_spp_channel(grid, "external", 2), data[:, :, 2])
-    with pytest.raises(SppError):
-        select_spp_channel(grid, "internal", 3)
-    with pytest.raises(SppError):
-        select_spp_channel(grid, "oracle", 0)
 
 
 def test_agreement_with_oracle_on_energetic_points(speech_wav):

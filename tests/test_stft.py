@@ -31,18 +31,9 @@ def test_dc_signal_bin_zero_value():
     assert np.max(np.abs(full[0].imag)) <= 1e-10 * w_sum
 
 
-def test_dc_signal_concentrates_in_bin_zero_rect():
-    # leakage-free concentration needs the rectangular test window; the
-    # sqrt-Hann arch inherently spreads into neighboring bins
-    params = StftParams(window="rect")
-    grid = analyze(AudioClip(np.ones((2, 4096)), 16000), params)
-    full = grid.data[:, 1:-2, :]
-    assert np.allclose(full[0].real, params.fft_size, rtol=1e-12)
-    assert np.max(np.abs(full[1:])) <= 1e-10 * params.fft_size
-
-
 def test_bin_center_sine_energy_concentration():
-    params = StftParams(window="rect")
+    # the sqrt-Hann main lobe spreads a bin-centre sine over bins k-1..k+1
+    params = StftParams()
     k = 32
     f = k * 16000 / params.fft_size
     t = np.arange(16000) / 16000
@@ -50,7 +41,7 @@ def test_bin_center_sine_energy_concentration():
     grid = analyze(clip, params)
     spec = np.abs(grid.data[:, 5:-5, 0]) ** 2
     frame_energy = spec.sum(axis=0)
-    assert np.all(spec[k] >= 0.99 * frame_energy)
+    assert np.all(spec[k - 1 : k + 2].sum(axis=0) >= 0.99 * frame_energy)
 
 
 def test_all_zero_clip():
@@ -119,8 +110,6 @@ def test_grid_validation():
     grid = StftGrid(np.zeros((params.n_bins, 4, 2), dtype=complex), params)
     with pytest.raises(StftError):
         grid.channel_slice(2)
-    with pytest.raises(StftError):
-        grid.select_channels([0, 5])
 
 
 def test_params_validation():
@@ -128,8 +117,6 @@ def test_params_validation():
         StftParams(fft_size=7)
     with pytest.raises(StftError):
         StftParams(hop=0)
-    with pytest.raises(StftError):
-        StftParams(window="hamming")
 
 
 def test_sqrt_hann_is_periodic():
