@@ -42,6 +42,7 @@ from .pipeline import EnhanceResult, InputAnalysis, enhance
 from .scenegen import (
     DEFAULT_SNRS_DB,
     SceneConfig,
+    SceneError,
     SceneOutput,
     SweepCell,
     default_suite,
@@ -143,9 +144,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = SceneConfig(**raw)
         if args.duration is not None:
             cfg = replace(cfg, duration_s=args.duration)
-        write_scene(render_scene(cfg), Path(args.output_dir))
-    except (TypeError, json.JSONDecodeError) as exc:
+    except (TypeError, json.JSONDecodeError, SceneError) as exc:
         return _fail_config(f"bad scene config: {exc}")
+    except PROCESSING_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROCESSING
+    try:
+        write_scene(render_scene(cfg), Path(args.output_dir))
     except PROCESSING_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROCESSING

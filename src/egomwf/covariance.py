@@ -18,6 +18,10 @@ from .stft import StftGrid
 
 DEFAULT_LOADING = 1e-6
 
+# bins per covariance block: each block's conj(y) and masked copy go to
+# small reused buffers instead of two temporaries the size of the grid
+_BIN_BLOCK = 16
+
 
 @dataclass(frozen=True, eq=False)
 class BinStatistics:
@@ -71,15 +75,17 @@ def estimate_correlations(
     r_yy(k) averages y y^H over frames with beta(k, l) = 1, r_nn(k) over
     the complement; y is restricted to `channels` in the given order.
 
-    Bin k's (frames, M) slice of a C-contiguous (bins, frames, channels)
-    grid already is y^T and is read in place; a channel list other than
-    the full width in order, or a non-C-contiguous grid, is first copied
-    once to that layout. conj(y) is written once as a contiguous (bins,
-    M, frames) array, and each sum is conj((conj(y) * w) @ y^T), one
-    stacked zgemm on a reused buffer. It equals (y * w) @ y^H bit for bit:
-    the 0/1 weights make every masked entry exact, and conjugation only
-    negates, which round-to-nearest mirrors exactly. The grid is not
-    modified.
+    Bins are taken _BIN_BLOCK at a time. Bin k's (frames, M) slice of a
+    C-contiguous (bins, frames, channels) grid already is y^T and is read
+    in place; a channel list other than the full width in order, or a
+    non-C-contiguous grid, is copied one block at a time to that layout.
+    conj(y) of the block is written to a reused contiguous (block, M,
+    frames) buffer, and each sum is conj((conj(y) * w) @ y^T), one stacked
+    zgemm per block through a second reused buffer, so no temporary is
+    the size of the grid. It equals (y * w) @ y^H bit for bit: each bin's
+    product is its own zgemm whatever the block, the 0/1 weights make
+    every masked entry exact, and conjugation only negates, which
+    round-to-nearest mirrors exactly. The grid is not modified.
     """
     channels = list(channels)
     if not channels:
@@ -93,24 +99,32 @@ def estimate_correlations(
             f"mask shape {mask.beta.shape} does not match grid {grid.data.shape[:2]}"
         )
     g = grid.data
-    if channels != list(range(grid.n_channels)) or not g.flags.c_contiguous:
-        g = np.ascontiguousarray(g[:, :, channels])
-    y_conj = np.empty((g.shape[0], g.shape[2], g.shape[1]), dtype=np.complex128)
-    np.conjugate(np.swapaxes(g, 1, 2), out=y_conj)
-    masked = np.empty_like(y_conj)
+    in_place = channels == list(range(grid.n_channels)) and g.flags.c_contiguous
+    n_bins, n_frames = g.shape[:2]
+    m = len(channels)
     beta = mask.beta.astype(np.float64)
     l_on = beta.sum(axis=1)
-    l_off = beta.shape[1] - l_on
+    l_off = n_frames - l_on
+    r_yy = np.empty((n_bins, m, m), dtype=np.complex128)
+    r_nn = np.empty_like(r_yy)
+    y_conj = np.empty((_BIN_BLOCK, m, n_frames), dtype=np.complex128)
+    masked = np.empty_like(y_conj)
+    for k0 in range(0, n_bins, _BIN_BLOCK):
+        k1 = min(k0 + _BIN_BLOCK, n_bins)
+        y_t = g[k0:k1] if in_place else np.ascontiguousarray(g[k0:k1][:, :, channels])
+        yc, wy = y_conj[: k1 - k0], masked[: k1 - k0]
+        np.conjugate(np.swapaxes(y_t, 1, 2), out=yc)
+        # r_nn gets its own masked product: "total minus speech-active"
+        # would cancel catastrophically when few frames are inactive
+        for w, acc in ((beta[k0:k1], r_yy), (1.0 - beta[k0:k1], r_nn)):
+            np.matmul(np.multiply(yc, w[:, None, :], out=wy), y_t, out=acc[k0:k1])
 
-    # r_nn gets its own masked product: "total minus speech-active" would
-    # cancel catastrophically when few frames are inactive
-    def masked_average(w: np.ndarray, count: np.ndarray) -> np.ndarray:
-        acc = np.conjugate(np.multiply(y_conj, w[:, None, :], out=masked) @ g)
-        return _hermitize(acc / np.maximum(count, 1.0)[:, None, None])
+    def average(acc: np.ndarray, count: np.ndarray) -> np.ndarray:
+        return _hermitize(np.conjugate(acc, out=acc) / np.maximum(count, 1.0)[:, None, None])
 
     return BinStatistics(
-        r_yy=masked_average(beta, l_on),
-        r_nn=masked_average(1.0 - beta, l_off),
+        r_yy=average(r_yy, l_on),
+        r_nn=average(r_nn, l_off),
         l_on=l_on.astype(np.int64),
         l_off=l_off.astype(np.int64),
         bin_index=np.arange(grid.n_bins),

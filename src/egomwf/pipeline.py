@@ -12,16 +12,26 @@ input: enhance() is one used once, the sweep keeps one per scene. The
 STFT covers only the channels the covariance is estimated over (for
 enhance(), the filter channels); a mask channel outside them is analysed
 on its own.
+
+When shadow filtering will run, the speech and noise images are analysed
+on a worker thread of the InputAnalysis itself, started as soon as the
+mixture grid is built: mask, covariance, filter and the output synthesis
+read only the mixture grid, so the two component analyses overlap them
+and are joined just before the shadow apply. The worker calls
+stft.analyze through the stft module rather than this module's analyze
+binding, which the benchmark's single-threaded tracer wraps.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from . import stft
 from .audio_io import AudioClip, resample
 from .config import EnhanceConfig
 from .covariance import BinStatistics, estimate_correlations
@@ -104,6 +114,12 @@ class InputAnalysis:
     single-channel analysis of its own. The grids, the mask of each mask
     source and the correlations under each mask are computed on first
     use and kept while the object lives.
+
+    Reference clips must have the mixture's sample count. When both
+    carry every analysed channel, runs also shadow-filter them, and the
+    two component grids are analysed on a one-thread executor owned by
+    this object, submitted when the mixture grid is built and joined by
+    component_grids, which re-raises a worker error as it was raised.
     """
 
     def __init__(
@@ -119,20 +135,47 @@ class InputAnalysis:
         self.speech_ref = None if speech_ref is None else _prepare_clip(speech_ref, params)
         self.noise_ref = None if noise_ref is None else _prepare_clip(noise_ref, params)
         self.channels = tuple(channels)
+        refs = (self.speech_ref, self.noise_ref)
+        for name, ref in zip(("speech", "noise"), refs):
+            if ref is not None and ref.n_frames != self.clip.n_frames:
+                raise PipelineError(
+                    f"{name} reference has {ref.n_frames} samples but the input has "
+                    f"{self.clip.n_frames}"
+                )
+        # shadow filtering needs the components at every analysed channel;
+        # reference clips carrying fewer (e.g. mask-only single-channel
+        # ground truth) simply skip it
+        self._shadows = all(ref is not None and ref.n_channels > max(self.channels) for ref in refs)
+        self._components: Future | None = None
         self._column = {c: j for j, c in enumerate(self.channels)}
         self._single: dict[int, StftGrid] = {}
         self._estimates: dict = {}
 
     @cached_property
     def grid(self) -> StftGrid:
-        return analyze(self.clip, self.params, self.channels)
+        grid = analyze(self.clip, self.params, self.channels)
+        if self._shadows:
+            # one executor per object, none at module level: a forked child
+            # inherits a module-level executor's bookkeeping but not its
+            # thread, and work submitted there would never run
+            pool = ThreadPoolExecutor(max_workers=1)
+            self._components = pool.submit(self._analyze_components)
+            pool.shutdown(wait=False)
+        return grid
+
+    def _analyze_components(self) -> tuple[StftGrid, StftGrid]:
+        return (
+            stft.analyze(self.speech_ref, self.params, self.channels),
+            stft.analyze(self.noise_ref, self.params, self.channels),
+        )
 
     @cached_property
     def component_grids(self) -> tuple[StftGrid, StftGrid]:
-        return (
-            analyze(self.speech_ref, self.params, self.channels),
-            analyze(self.noise_ref, self.params, self.channels),
-        )
+        """(speech, noise) grids; only when shadow filtering runs."""
+        if not self._shadows:
+            raise PipelineError("shadow filtering needs both references at every analysed channel")
+        self.grid  # starts the worker
+        return self._components.result()
 
     def _spectrogram_grid(self, channel: int) -> tuple[StftGrid, int]:
         """(grid, column) holding physical `channel` of the input."""
@@ -171,7 +214,19 @@ class InputAnalysis:
         return synthesize(StftGrid(d[:, :, np.newaxis], self.params, self.grid.n_samples))
 
     def enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
-        """The enhance() result for this input under cfg."""
+        """The enhance() result for this input under cfg.
+
+        A run that fails waits for the component analyses before it
+        raises, so none of its work is still running afterwards.
+        """
+        try:
+            return self._enhance(cfg)
+        except BaseException:
+            if self._components is not None:
+                wait([self._components])
+            raise
+
+    def _enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
         if cfg.stft != self.params:
             raise PipelineError(f"config STFT {cfg.stft} differs from the analysed {self.params}")
         order = filter_partition(cfg.partition, cfg.method).ordered_channels
@@ -195,12 +250,8 @@ class InputAnalysis:
         fb = build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
         enhanced = self._filtered(self.grid, fb)
 
-        # shadow filtering needs the components at every analysed channel;
-        # reference clips carrying fewer (e.g. mask-only single-channel
-        # ground truth) simply skip it
         shadow_speech = shadow_noise = None
-        refs = (self.speech_ref, self.noise_ref)
-        if all(ref is not None and ref.n_channels > max(self.channels) for ref in refs):
+        if self._shadows:
             s_grid, n_grid = self.component_grids
             shadow_speech = self._filtered(s_grid, fb)
             shadow_noise = self._filtered(n_grid, fb)

@@ -126,21 +126,25 @@ def analyze(
     n_frames = ceil(n / hop). The grid data is C-contiguous, so per-bin
     products over channels run as stacked BLAS calls without a copy.
 
-    Frames are transformed _BLOCK at a time: windowed from a (channels,
-    frames, fft_size) view of the zero-padded samples into a reused
-    (channels, _BLOCK, fft_size) buffer, transformed along its contiguous
-    last axis into a reused (channels, _BLOCK, bins) buffer, and written
-    transposed into the grid while still in cache. A frame's rfft does
-    not depend on the frames batched with it, so the grid equals a
-    frame-by-frame rfft bit for bit, and a column equals the same
-    channel's column in the full analysis.
+    Frames are transformed _BLOCK at a time. A full frame is windowed
+    straight from a strided view of its channel's samples, so the signal
+    is never copied; only the frames that run past the end come from a
+    small zero-padded copy of the last samples. Each block is windowed
+    into a reused (channels, _BLOCK, fft_size) buffer, transformed along
+    its contiguous last axis into a reused (channels, _BLOCK, bins)
+    buffer, and written transposed into the grid while still in cache.
+    Windowing is one exact product per sample wherever the frame comes
+    from, and a frame's rfft does not depend on the frames batched with
+    it, so the grid equals a frame-by-frame rfft of the zero-padded
+    signal bit for bit, and a column equals the same channel's column in
+    the full analysis.
     """
     params = params or StftParams()
     if clip.sample_rate_hz != params.sample_rate_hz:
         raise StftError(
             f"clip rate {clip.sample_rate_hz} != params rate {params.sample_rate_hz}"
         )
-    channels = range(clip.n_channels) if channels is None else list(channels)
+    channels = list(range(clip.n_channels) if channels is None else channels)
     if not channels:
         raise StftError("channel list must be nonempty")
     for c in channels:
@@ -151,17 +155,26 @@ def analyze(
     if n < nfft:
         raise StftError(f"clip of {n} samples shorter than one frame ({nfft})")
     n_frames = -(-n // hop)
-    padded = np.zeros((len(channels), (n_frames - 1) * hop + nfft))
-    for row, c in zip(padded, channels):
-        row[:n] = clip.samples[c]
-    frames = frame_view(padded, nfft, hop)
+    n_full = (n - nfft) // hop + 1  # frames that end inside the signal
+    full = frame_view(clip.samples, nfft, hop)
+    # the rest, zero-padded; one unread frame when every frame is full
+    start = n_full * hop
+    tail = np.zeros((len(channels), max(n_frames - n_full - 1, 0) * hop + nfft))
+    tail[:, : n - start] = clip.samples[channels, start:]
+    tail_frames = frame_view(tail, nfft, hop)
     window = params.window_values()
     spec = np.empty((params.n_bins, n_frames, len(channels)), dtype=np.complex128)
     windowed = np.empty((len(channels), _BLOCK, nfft))
     block_spec = np.empty((len(channels), _BLOCK, params.n_bins), dtype=np.complex128)
     for f0 in range(0, n_frames, _BLOCK):
         b = min(_BLOCK, n_frames - f0)
-        np.multiply(frames[:, f0 : f0 + b], window, out=windowed[:, :b])
+        split = min(max(n_full - f0, 0), b)  # full frames in this block
+        if split:
+            for row, c in zip(windowed, channels):
+                np.multiply(full[c, f0 : f0 + split], window, out=row[:split])
+        if split < b:
+            t0 = f0 + split - n_full
+            np.multiply(tail_frames[:, t0 : t0 + b - split], window, out=windowed[:, split:b])
         np.fft.rfft(windowed[:, :b], axis=-1, out=block_spec[:, :b])
         spec[:, f0 : f0 + b] = block_spec[:, :b].transpose(2, 1, 0)
     return StftGrid(spec, params, n_samples=n)

@@ -226,6 +226,42 @@ def test_cmd_enhance_singular_gsc_gram_exit_3(tmp_path, scene_dir, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_cmd_enhance_component_worker_error_exit_3(tmp_path, scene_dir, config_file,
+                                                   capsys, monkeypatch):
+    import egomwf.stft
+    from egomwf.stft import StftError
+
+    def failing(*args, **kwargs):
+        raise StftError("component analysis failed")
+
+    # only the shadow components are analysed through stft.analyze
+    monkeypatch.setattr(egomwf.stft, "analyze", failing)
+    code = main(["enhance", "--input", str(scene_dir / "mixture.wav"),
+                 "--output", str(tmp_path / "o.wav"), "--config", config_file,
+                 "--speech-ref", str(scene_dir / "speech.wav"),
+                 "--noise-ref", str(scene_dir / "noise.wav")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: component analysis failed\n"
+    assert not (tmp_path / "o.wav").exists()
+
+
+def test_cmd_enhance_reference_length_mismatch_exit_3(tmp_path, scene_dir, config_file, capsys):
+    # references cut to 20000 samples on a 64000-sample mixture
+    refs = []
+    for name in ("speech", "noise"):
+        clip = read_wav(scene_dir / f"{name}.wav")
+        path = tmp_path / f"{name}_short.wav"
+        write_wav(AudioClip(clip.samples[:, :20000], clip.sample_rate_hz), path, "32f")
+        refs.append(str(path))
+    code = main(["enhance", "--input", str(scene_dir / "mixture.wav"),
+                 "--output", str(tmp_path / "o.wav"), "--config", config_file,
+                 "--speech-ref", refs[0], "--noise-ref", refs[1]])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "20000 samples" in err
+
+
 def test_cmd_enhance_oracle_mode(tmp_path, scene_dir, config_file):
     out = tmp_path / "oracle.wav"
     code = main(
@@ -355,7 +391,15 @@ def test_cmd_simulate_deterministic_bytes(tmp_path, speech_wav):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("raw", [[{"seed": 1}], {"seed": 1, "geometry": {"array": [[0, 0, 0]]}}])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [{"seed": 1}],
+        {"seed": 1, "geometry": {"array": [[0, 0, 0]]}},
+        {"duration_s": -1},  # values SceneConfig rejects
+        {"rotor_speeds_rpm": [4000.0, 4100.0]},
+    ],
+)
 def test_cmd_simulate_malformed_scene_config_exit_2(tmp_path, speech_wav, capsys, raw):
     scene_cfg = tmp_path / "scene.json"
     scene_cfg.write_text(json.dumps(raw))
@@ -371,6 +415,19 @@ def test_cmd_simulate_malformed_scene_config_exit_2(tmp_path, speech_wav, capsys
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad scene config:")
     assert not (tmp_path / "out").exists()
+
+
+def test_cmd_simulate_render_error_exit_3(tmp_path, capsys):
+    # a valid config on speech material under one second fails in rendering
+    speech = tmp_path / "short_speech.wav"
+    write_wav(AudioClip(np.full((1, 8000), 0.1), 16000), speech, "32f")
+    scene_cfg = tmp_path / "scene.json"
+    scene_cfg.write_text(json.dumps({"seed": 1}))  # no duration_s: nothing pads the speech
+    code = main(["simulate", "--scene-config", str(scene_cfg),
+                 "--output-dir", str(tmp_path / "out"), "--speech", str(speech)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: speech material shorter than one second\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

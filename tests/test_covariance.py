@@ -260,3 +260,18 @@ def test_statistics_compare_by_identity_and_hash():
     assert a != b
     assert a == a
     assert len({a, b}) == 2
+
+
+
+@pytest.mark.parametrize("bins", [257, 33, 16, 5])  # 257 and 33 end in a partial block
+@pytest.mark.parametrize("mask", ["random", "all_on", "all_off"])
+@pytest.mark.parametrize("channels", [[0, 1, 2, 3, 4, 5], [3], [5, 2, 0, 4]])
+def test_bin_blocks_match_one_shot_product(rng, bins, mask, channels):
+    grid = _make_grid(rng, bins=bins, frames=41, channels=6)
+    beta = (rng.uniform(size=(bins, 41)) > 0.5).astype(np.uint8)
+    if mask != "random":
+        beta[:] = mask == "all_on"
+    stats = estimate_correlations(grid, _mask_from(beta), channels)
+    r_yy, r_nn, _, _ = _reference_correlations(grid, beta, channels)
+    assert np.array_equal(stats.r_yy, r_yy)
+    assert np.array_equal(stats.r_nn, r_nn)

@@ -276,3 +276,115 @@ def test_external_spp_outside_filter_channels_matches_full_grid(default_scene, m
     # a second mask from channel 16 reuses its single-channel analysis
     analysis.enhance(replace(cfg, spp=SppParams(threshold=0.6)))
     assert sorted(calls) == [1, 4]
+
+
+def test_component_grids_from_worker_match_inline_analysis(default_scene):
+    from egomwf.pipeline import InputAnalysis
+    from egomwf.stft import synthesize
+
+    part = ChannelPartition(tuple(range(12)), (12, 13, 14, 15), 0)
+    cfg = EnhanceConfig(partition=part, spp_mode="oracle", method="pk-mwf")
+    scene = default_scene
+    analysis = InputAnalysis(scene.mixture, cfg.stft, scene.speech_image, scene.noise_image, range(16))
+    result = analysis.enhance(cfg)
+    order = list(part.ordered_channels)
+    for worker_grid, ref, shadow in (
+        (analysis.component_grids[0], scene.speech_image, result.shadow_speech),
+        (analysis.component_grids[1], scene.noise_image, result.shadow_noise),
+    ):
+        inline = analyze(ref, cfg.stft, range(16))
+        assert np.array_equal(worker_grid.data, inline.data)
+        d = apply_filterbank(inline, result.filterbank, order)
+        expected = synthesize(StftGrid(d[:, :, None], inline.params, inline.n_samples))
+        assert np.array_equal(shadow.samples, expected.samples)
+
+
+def test_worker_error_surfaces_from_enhance_with_its_type(default_scene, monkeypatch):
+    import egomwf.stft
+    from egomwf.stft import StftError
+
+    def failing(*args, **kwargs):
+        raise StftError("component analysis failed")
+
+    # the worker calls stft.analyze; the mixture goes through pipeline.analyze
+    monkeypatch.setattr(egomwf.stft, "analyze", failing)
+    cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="internal", method="pk-mwf")
+    with pytest.raises(StftError, match="component analysis failed"):
+        enhance(default_scene.mixture, cfg, default_scene.speech_image, default_scene.noise_image)
+
+
+@pytest.mark.parametrize("which", ["speech", "noise", "both_mask_only"])
+def test_reference_length_must_match_the_input(which):
+    from egomwf.pipeline import InputAnalysis
+
+    rng = np.random.default_rng(3)
+    mixture = AudioClip(rng.standard_normal((8, 32000)), 16000)
+    refs = {"speech": mixture, "noise": mixture}
+    short = AudioClip(rng.standard_normal((8, 20000)), 16000)
+    if which == "both_mask_only":
+        refs = {"speech": short.channel(0), "noise": short.channel(0)}
+    else:
+        refs[which] = short
+    cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="internal", method="pk-mwf")
+    with pytest.raises(PipelineError, match="20000 samples"):
+        enhance(mixture, cfg, refs["speech"], refs["noise"])
+    # rejected on construction, before any analysis or worker starts
+    with pytest.raises(PipelineError):
+        InputAnalysis(mixture, cfg.stft, refs["speech"], refs["noise"], range(8))
+
+
+def test_reference_length_is_checked_after_resampling(default_scene):
+    from egomwf.audio_io import resample
+
+    up = resample(default_scene.mixture, 32000)
+    cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="internal", method="mwf")
+    result = enhance(up, cfg, default_scene.speech_image, default_scene.noise_image)
+    assert result.shadow_speech.n_frames == result.enhanced.n_frames
+
+
+_FORK_AFTER_ENHANCE = """
+import sys
+from egomwf import speechgen
+from egomwf.audio_io import write_wav
+from egomwf.cli import run_sweep
+from egomwf.config import EnhanceConfig
+from egomwf.pipeline import enhance
+from egomwf.scenegen import SceneConfig, render_scene, suite_partition
+
+speech = sys.argv[1]
+write_wav(speechgen.speech_like(2.0, 16000, 4), speech, "32f")
+scene = render_scene(SceneConfig(speech_path=speech, seed=4, duration_s=2.0))
+cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="oracle", method="pk-mwf")
+result = enhance(scene.mixture, cfg, scene.speech_image, scene.noise_image)
+assert result.shadow_speech is not None
+rows = run_sweep(speech, [4], duration_s=2.0, snrs=(-10.0, 0.0), workers=2)
+assert len(rows) == 54 and all(r["status"] == "ok" for r in rows)
+print("done")
+"""
+
+
+def test_sweep_pool_forked_after_shadow_enhance_finishes(tmp_path):
+    """The component worker leaves nothing behind that a forked sweep
+    worker could wait on."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    # its own session, so a hang can be ended with the pool workers it forked
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FORK_AFTER_ENHANCE, str(tmp_path / "speech.wav")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("enhance followed by a forked sweep did not finish in 300 s")
+    assert proc.returncode == 0, err
+    assert out.strip() == "done"

@@ -188,3 +188,40 @@ def test_analyze_listed_channels_match_full_analysis(rng):
         analyze(clip, channels=[-1])
     with pytest.raises(StftError):
         analyze(clip, channels=[])
+
+
+def _padded_frame_reference(x, params, channels):
+    """np.pad to whole frames, then one rfft per channel and frame."""
+    nfft, hop = params.fft_size, params.hop
+    n = x.shape[1]
+    n_frames = -(-n // hop)
+    padded = np.pad(x, ((0, 0), (0, (n_frames - 1) * hop + nfft - n)))
+    w = params.window_values()
+    ref = np.empty((params.n_bins, n_frames, len(channels)), dtype=np.complex128)
+    for col, c in enumerate(channels):
+        for f in range(n_frames):
+            ref[:, f, col] = np.fft.rfft(padded[c, f * hop : f * hop + nfft] * w)
+    return ref
+
+
+@pytest.mark.parametrize("nfft, hop", [(512, 256), (16, 5), (16, 16)])
+@pytest.mark.parametrize(
+    "length", ["fft_size", "fft_size+1", "multiple_of_hop", "k_hops+1", "many_blocks"]
+)
+@pytest.mark.parametrize("channels", [None, [3, 0, 2], [4, 1, 1]])
+def test_analyze_frames_from_signal_match_padded_reference(rng, nfft, hop, length, channels):
+    """Full frames read from the signal and tail frames from a padded copy
+    give exactly the spectra of a padded signal, frame by frame."""
+    params = StftParams(fft_size=nfft, hop=hop)
+    n = {
+        "fft_size": nfft,
+        "fft_size+1": nfft + 1,
+        "multiple_of_hop": 7 * hop,
+        "k_hops+1": 7 * hop + 1,
+        "many_blocks": 37 * hop + 3,  # two full 16-frame blocks and a partial one
+    }[length]
+    x = rng.standard_normal((5, n))
+    listed = list(range(5)) if channels is None else channels
+    grid = analyze(AudioClip(x, 16000), params, channels)
+    assert grid.data.flags.c_contiguous
+    assert np.array_equal(grid.data, _padded_frame_reference(x, params, listed))
