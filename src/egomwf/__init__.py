@@ -25,7 +25,6 @@ from .pipeline import EnhanceResult, apply_filterbank, enhance
 from .scenegen import (
     SceneConfig,
     SceneOutput,
-    default_suite,
     render_scene,
     steering_delay_gain,
     synth_ego_noise,
@@ -47,6 +46,6 @@ __all__ = [
     "EnhanceResult", "apply_filterbank", "enhance",
     "MetricsReport", "snr_db", "stoi", "evaluate",
     "SceneConfig", "SceneOutput", "steering_delay_gain",
-    "synth_ego_noise", "render_scene", "default_suite",
+    "synth_ego_noise", "render_scene",
     "EnhanceConfig", "parse_config", "load_config",
 ]

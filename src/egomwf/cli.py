@@ -1,11 +1,14 @@
 """Command-line surface: enhance, simulate, evaluate, sweep.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 processing error.
+Exit codes: 0 success, 2 configuration/usage error, 3 processing error;
+main alone maps a ConfigError to 2 and any other processing error to 3.
 JSON for configs and reports, CSV for the sweep table. The enhance
 config file holds processing settings only; every file path comes from a
 flag. The evaluate report is metrics.score_input on the clean/noisy pair
 followed by metrics.score_output on the processed file. The sweep runs
---workers processes, by default min(4, cpu count).
+one scene per seed and SNR, in --workers processes (by default
+min(4, cpu count)), and on each scene every array size x SPP mode x
+method.
 
 The sweep renders each scene once, and its cells share what does not
 depend on method or array size, each part computed on first use: the
@@ -27,8 +30,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +40,17 @@ import numpy as np
 from .audio_io import AudioClip, AudioError, read_wav, write_wav
 from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
-from .filters import METHODS
+from .filters import METHODS, ChannelPartition
 from .metrics import InputScores, score_input, score_output
 from .pipeline import EnhanceResult, InputAnalysis, enhance
 from .scenegen import (
+    DEFAULT_ARRAY_SIZES,
     DEFAULT_SNRS_DB,
     SceneConfig,
     SceneError,
     SceneOutput,
-    SweepCell,
-    default_suite,
     render_scene,
+    suite_partition,
     write_scene,
 )
 from .spp import SPP_MODES
@@ -73,9 +77,11 @@ def _load_multichannel(path: str, external: str | None) -> AudioClip:
     ext = read_wav(external)
     if ext.sample_rate_hz != clip.sample_rate_hz:
         raise AudioError("external microphone rate differs from the input")
-    n = min(clip.n_frames, ext.n_frames)
-    merged = np.vstack([clip.samples[:, :n], ext.samples[:1, :n]])
-    return AudioClip(merged, clip.sample_rate_hz)
+    if ext.n_frames != clip.n_frames:
+        raise AudioError(
+            f"external microphone has {ext.n_frames} samples but the input has {clip.n_frames}"
+        )
+    return AudioClip(np.vstack([clip.samples, ext.samples[:1]]), clip.sample_rate_hz)
 
 
 def _enhance_report(cfg: EnhanceConfig, result: EnhanceResult, elapsed: float) -> dict:
@@ -95,37 +101,28 @@ def cmd_enhance(args: argparse.Namespace) -> int:
         "spp_mode": args.spp_mode,
         "spp_channel": args.spp_channel,
     }
-    try:
-        cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        return _fail_config(str(exc))
-    try:
-        clip = _load_multichannel(args.input, args.external)
-        if cfg.spp_mode == "external" and cfg.spp_channel is None and args.external is not None:
-            cfg = replace(cfg, spp_channel=clip.n_channels - 1)
-        speech_ref = noise_ref = None
-        if cfg.spp_mode == "oracle" and not (args.speech_ref and args.noise_ref):
-            return _fail_config("oracle SPP mode needs --speech-ref and --noise-ref")
-        if args.speech_ref and args.noise_ref:
-            speech_ref = read_wav(args.speech_ref)
-            noise_ref = read_wav(args.noise_ref)
-        t0 = time.perf_counter()
-        result = enhance(clip, cfg, speech_ref, noise_ref)
-        elapsed = time.perf_counter() - t0
-        write_wav(result.enhanced, args.output, "32f")
-        if args.shadow_speech_out and result.shadow_speech is not None:
-            write_wav(result.shadow_speech, args.shadow_speech_out, "32f")
-        if args.shadow_noise_out and result.shadow_noise is not None:
-            write_wav(result.shadow_noise, args.shadow_noise_out, "32f")
-        if args.report:
-            Path(args.report).write_text(
-                json.dumps(_enhance_report(cfg, result, elapsed), indent=2, sort_keys=True)
-            )
-    except ConfigError as exc:
-        return _fail_config(str(exc))
-    except PROCESSING_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
+    cfg = load_config(args.config, overrides)
+    clip = _load_multichannel(args.input, args.external)
+    if cfg.spp_mode == "external" and cfg.spp_channel is None and args.external is not None:
+        cfg = replace(cfg, spp_channel=clip.n_channels - 1)
+    speech_ref = noise_ref = None
+    if cfg.spp_mode == "oracle" and not (args.speech_ref and args.noise_ref):
+        return _fail_config("oracle SPP mode needs --speech-ref and --noise-ref")
+    if args.speech_ref and args.noise_ref:
+        speech_ref = read_wav(args.speech_ref)
+        noise_ref = read_wav(args.noise_ref)
+    t0 = time.perf_counter()
+    result = enhance(clip, cfg, speech_ref, noise_ref)
+    elapsed = time.perf_counter() - t0
+    write_wav(result.enhanced, args.output, "32f")
+    if args.shadow_speech_out and result.shadow_speech is not None:
+        write_wav(result.shadow_speech, args.shadow_speech_out, "32f")
+    if args.shadow_noise_out and result.shadow_noise is not None:
+        write_wav(result.shadow_noise, args.shadow_noise_out, "32f")
+    if args.report:
+        Path(args.report).write_text(
+            json.dumps(_enhance_report(cfg, result, elapsed), indent=2, sort_keys=True)
+        )
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -146,14 +143,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             cfg = replace(cfg, duration_s=args.duration)
     except (TypeError, json.JSONDecodeError, SceneError) as exc:
         return _fail_config(f"bad scene config: {exc}")
-    except PROCESSING_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
-    try:
-        write_scene(render_scene(cfg), Path(args.output_dir))
-    except PROCESSING_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
+    write_scene(render_scene(cfg), Path(args.output_dir))
     print(f"wrote scene under {args.output_dir}")
     return EXIT_OK
 
@@ -164,24 +154,17 @@ def _reference_channel(path: str) -> AudioClip:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        shadow_speech = shadow_noise = None
-        if args.shadow_speech and args.shadow_noise:
-            shadow_speech = _reference_channel(args.shadow_speech)
-            shadow_noise = _reference_channel(args.shadow_noise)
-        report = score_output(
-            score_input(_reference_channel(args.clean), _reference_channel(args.noisy)),
-            _reference_channel(args.processed),
-            shadow_speech,
-            shadow_noise,
-        ).to_dict()
-        # there is no run to label the report with
-        for key in ("method", "partition", "spp_mode"):
-            del report[key]
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
-    except PROCESSING_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
+    shadow_speech = shadow_noise = None
+    if args.shadow_speech and args.shadow_noise:
+        shadow_speech = _reference_channel(args.shadow_speech)
+        shadow_noise = _reference_channel(args.shadow_noise)
+    report = score_output(
+        score_input(_reference_channel(args.clean), _reference_channel(args.noisy)),
+        _reference_channel(args.processed),
+        shadow_speech,
+        shadow_noise,
+    )
+    Path(args.report).write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
     print(f"wrote {args.report}")
     return EXIT_OK
 
@@ -206,45 +189,42 @@ class SharedScene:
         return score_input(self.scene.speech_image.channel(ref), self.scene.mixture.channel(ref))
 
 
-def run_cell(shared: SharedScene, cell: SweepCell) -> dict:
-    """One sweep cell on its scene's shared work; returns the CSV row."""
+def run_cell(shared: SharedScene, partition: ChannelPartition, spp_mode: str, method: str) -> dict:
+    """One sweep cell on its scene's shared work; returns its scores."""
     ext = shared.scene.manifest["channels"]["external"]
     cfg = EnhanceConfig(
-        partition=cell.partition,
-        spp_mode=cell.spp_mode,
-        spp_channel=ext if cell.spp_mode == "external" else None,
-        method=cell.method,
+        partition=partition,
+        spp_mode=spp_mode,
+        spp_channel=ext if spp_mode == "external" else None,
+        method=method,
     )
     result = shared.analysis.enhance(cfg)
-    report = score_output(
-        shared.inputs, result.enhanced, result.shadow_speech, result.shadow_noise
+    scores = asdict(
+        score_output(shared.inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
     )
-    row = cell.key()
-    row.update(
-        {
-            "snr_in_db": report.snr_in_db,
-            "snr_out_db": report.snr_out_db,
-            "snr_improvement_db": report.snr_improvement_db,
-            "stoi_in": report.stoi_in,
-            "stoi_out": report.stoi_out,
-            "stoi_improvement": report.stoi_improvement,
-            "status": "ok",
-        }
-    )
-    return row
+    del scores["flags"]
+    return scores
 
 
-def _run_scene_group(task: tuple[SceneConfig, list[SweepCell]]) -> list[dict]:
-    scene_cfg, cells = task
+def _run_scene_group(scene_cfg: SceneConfig) -> list[dict]:
+    """Render one scene and run every array size x SPP mode x method on it."""
     shared = SharedScene(render_scene(scene_cfg))
     rows = []
-    for cell in cells:
+    for m_speech_noise, spp_mode, method in product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS):
+        partition = suite_partition(m_speech_noise)
+        row = {
+            "seed": scene_cfg.seed,
+            "snr_db": scene_cfg.target_snr_db,
+            "m_speech_noise": partition.n_speech_noise,
+            "m_noise_only": partition.n_noise_only,
+            "spp_mode": spp_mode,
+            "method": method,
+        }
         try:
-            rows.append(run_cell(shared, cell))
+            row.update(run_cell(shared, partition, spp_mode, method), status="ok")
         except PROCESSING_ERRORS as exc:
-            row = cell.key()
             row["status"] = f"failed: {exc}"
-            rows.append(row)
+        rows.append(row)
     return rows
 
 
@@ -274,18 +254,12 @@ def run_sweep(
     snrs: tuple[float, ...] = DEFAULT_SNRS_DB,
     workers: int | None = None,
 ) -> list[dict]:
-    """The full grid for every seed; rows come back in deterministic order."""
-    tasks: list[tuple[SceneConfig, list[SweepCell]]] = []
-    for seed in seeds:
-        by_scene: dict[float, list[SweepCell]] = {}
-        for cell in default_suite(speech_path, seed=seed):
-            if cell.scene.target_snr_db not in snrs:
-                continue
-            by_scene.setdefault(cell.scene.target_snr_db, []).append(cell)
-        for snr, cells in by_scene.items():
-            scene_cfg = replace(cells[0].scene, duration_s=duration_s)
-            tasks.append((scene_cfg, cells))
-
+    """The full grid for every seed and SNR; rows come back in deterministic order."""
+    tasks = [
+        SceneConfig(speech_path, target_snr_db=float(snr), seed=seed, duration_s=duration_s)
+        for seed in seeds
+        for snr in snrs
+    ]
     workers = _sweep_workers(workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -324,14 +298,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers = _sweep_workers(args.workers)
     except ValueError as exc:
         return _fail_config(str(exc))
-    try:
-        t0 = time.perf_counter()
-        rows = run_sweep(args.speech, seeds, duration_s=args.duration, workers=workers)
-        elapsed = time.perf_counter() - t0
-        write_sweep_outputs(rows, Path(args.output_dir))
-    except PROCESSING_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROCESSING
+    t0 = time.perf_counter()
+    rows = run_sweep(args.speech, seeds, duration_s=args.duration, workers=workers)
+    elapsed = time.perf_counter() - t0
+    write_sweep_outputs(rows, Path(args.output_dir))
     failures = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows)} cells in {elapsed:.1f}s, {len(failures)} failed")
     for row in failures:
@@ -393,7 +363,14 @@ def main(argv: list[str] | None = None) -> int:
     duration = getattr(args, "duration", None)
     if duration is not None and not 0 < duration < math.inf:
         return _fail_config(f"--duration must be finite and positive, got {duration}")
-    return args.func(args)
+    # the one place that turns an error into an exit code
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        return _fail_config(str(exc))
+    except PROCESSING_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROCESSING
 
 
 if __name__ == "__main__":

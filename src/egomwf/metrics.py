@@ -6,12 +6,12 @@ separately to the known speech and noise parts, which is exact for a
 linear filter. STOI follows the canonical recipe: 10 kHz rate, silent
 frame removal over a 40 dB dynamic range, 15 one-third-octave bands from
 150 Hz, 384 ms segments, -15 dB SDR clipping, averaged band/segment
-correlations.
+correlations. Clips compared with each other must share one rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,30 +46,18 @@ class MetricsReport:
     stoi_in: float
     stoi_out: float
     stoi_improvement: float
-    method: str = ""
-    partition: dict = field(default_factory=dict)
-    spp_mode: str = ""
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "snr_in_db": self.snr_in_db,
-            "snr_out_db": self.snr_out_db,
-            "snr_improvement_db": self.snr_improvement_db,
-            "stoi_in": self.stoi_in,
-            "stoi_out": self.stoi_out,
-            "stoi_improvement": self.stoi_improvement,
-            "method": self.method,
-            "partition": self.partition,
-            "spp_mode": self.spp_mode,
-            "flags": list(self.flags),
-        }
 
 
 def _mono(clip: AudioClip, what: str) -> np.ndarray:
     if clip.n_channels != 1:
         raise MetricsError(f"{what} must be single-channel, got {clip.n_channels}")
     return clip.samples[0]
+
+
+def _same_rate(a: int, b: int, a_name: str, b_name: str) -> None:
+    if a != b:
+        raise MetricsError(f"rate mismatch: {a_name} {a} Hz vs {b_name} {b} Hz")
 
 
 def snr_db(speech: AudioClip, noise: AudioClip) -> float:
@@ -119,35 +107,33 @@ def _band_envelopes(x: np.ndarray, obm: np.ndarray) -> np.ndarray:
     return np.sqrt(power @ obm.T).T  # (bands, frames)
 
 
-def at_stoi_rate(clip: AudioClip, rate_hz: int | None = None) -> AudioClip:
+def at_stoi_rate(clip: AudioClip) -> AudioClip:
     """A single-channel clip resampled to the 10 kHz STOI rate.
 
-    rate_hz overrides the clip's own rate as the one it is taken at, as
-    in stoi. A clip already at 10 kHz comes back as it is, so stoi on
-    clips made here does no resampling of its own.
+    A clip already at 10 kHz comes back as it is, so stoi on clips made
+    here does no resampling of its own.
     """
-    x = _mono(clip, "signal")
-    rate = rate_hz or clip.sample_rate_hz
-    if rate == _STOI_RATE:
+    _mono(clip, "signal")
+    if clip.sample_rate_hz == _STOI_RATE:
         return clip
-    return resample(AudioClip(x[None, :], rate), _STOI_RATE)
+    return resample(clip, _STOI_RATE)
 
 
-def stoi(clean: AudioClip, processed: AudioClip, rate_hz: int | None = None) -> float:
+def stoi(clean: AudioClip, processed: AudioClip) -> float:
     """Short-time objective intelligibility of `processed` given `clean`.
 
-    Both clips are taken at rate_hz (default: the clean clip's rate) and
-    resampled to 10 kHz by at_stoi_rate before scoring; callers scoring
-    several clips against one clean reference resample it once with
-    at_stoi_rate and pass the 10 kHz clips.
+    Both clips must share one rate; they are resampled to 10 kHz by
+    at_stoi_rate before scoring. Callers scoring several clips against
+    one clean reference resample it once with at_stoi_rate and pass the
+    10 kHz clips.
     """
     x = _mono(clean, "clean signal")
     y = _mono(processed, "processed signal")
     if x.size != y.size:
         raise MetricsError(f"length mismatch: clean {x.size} vs processed {y.size}")
-    rate = rate_hz or clean.sample_rate_hz
-    x = at_stoi_rate(clean, rate).samples[0]
-    y = at_stoi_rate(processed, rate).samples[0]
+    _same_rate(clean.sample_rate_hz, processed.sample_rate_hz, "clean", "processed")
+    x = at_stoi_rate(clean).samples[0]
+    y = at_stoi_rate(processed).samples[0]
     if not np.any(x != 0):
         raise MetricsError("clean signal is all zeros")
     if x.size < _STOI_FRAME:
@@ -179,17 +165,10 @@ def evaluate(result: EnhanceResult, clean_ref: AudioClip, noisy_ref: AudioClip) 
 
     score_input on the references, then score_output on the run's
     enhanced output and shadow components (the clean reference is
-    resampled to the STOI rate once for both), labelled with the run's
-    method, partition and SPP mode.
+    resampled to the STOI rate once for both).
     """
     inputs = score_input(clean_ref, noisy_ref)
-    report = score_output(inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
-    return replace(
-        report,
-        method=result.filterbank.method,
-        partition=result.filterbank.partition.describe(),
-        spp_mode=result.mask.source_channel[0],
-    )
+    return score_output(inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +196,7 @@ def score_input(clean_ref: AudioClip, noisy_ref: AudioClip) -> InputScores:
     noisy = _mono(noisy_ref, "noisy reference")
     if clean.size != noisy.size:
         raise MetricsError("clean/noisy reference length mismatch")
+    _same_rate(clean_ref.sample_rate_hz, noisy_ref.sample_rate_hz, "clean", "noisy")
     rate = clean_ref.sample_rate_hz
     clean_stoi = at_stoi_rate(clean_ref)
     return InputScores(
@@ -224,7 +204,7 @@ def score_input(clean_ref: AudioClip, noisy_ref: AudioClip) -> InputScores:
         rate_hz=rate,
         n_samples=clean.size,
         snr_in_db=snr_db(clean_ref, AudioClip(noisy[None, :] - clean[None, :], rate)),
-        stoi_in=stoi(clean_stoi, at_stoi_rate(noisy_ref, rate)),
+        stoi_in=stoi(clean_stoi, at_stoi_rate(noisy_ref)),
     )
 
 
@@ -253,7 +233,8 @@ def score_output(
     n = _mono(enhanced, "processed signal").size
     if n != inputs.n_samples:
         raise MetricsError(f"length mismatch: clean {inputs.n_samples} vs processed {n}")
-    stoi_out = stoi(inputs.clean, at_stoi_rate(enhanced, inputs.rate_hz))
+    _same_rate(inputs.rate_hz, enhanced.sample_rate_hz, "clean", "processed")
+    stoi_out = stoi(inputs.clean, at_stoi_rate(enhanced))
     return MetricsReport(
         snr_in_db=snr_in,
         snr_out_db=snr_out,

@@ -6,7 +6,9 @@ geometry: a speech source 2 m out near the floor, a 16-element array
 sources just above the propeller mics, and an optional external
 microphone 0.2 m above the source. Every scene carries exact per-channel
 speech/noise components; make_oracle_mask turns the reference channel's
-components into an oracle activity mask.
+components into an oracle activity mask. DEFAULT_SNRS_DB,
+DEFAULT_ARRAY_SIZES and suite_partition define the sweep's scenes and
+partitions.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .audio_io import AudioClip, read_wav, resample, write_wav
 from .errors import EgomwfError
-from .filters import METHODS, ChannelPartition
-from .spp import SPP_MODES, SppMask
+from .filters import ChannelPartition
+from .spp import SppMask
 from .stft import StftParams, analyze
 
 SPEED_OF_SOUND = 343.0
@@ -35,11 +37,7 @@ class SceneError(EgomwfError):
 
 @dataclass(frozen=True, eq=False)
 class SceneGeometry:
-    """Positions in meters; arrays are (n, 3) and read-only.
-
-    Equality and hash follow the positions, so the scene configs holding
-    a geometry are value types.
-    """
+    """Positions in meters; arrays are (n, 3) and read-only."""
 
     source: np.ndarray
     array_mics: np.ndarray
@@ -57,20 +55,6 @@ class SceneGeometry:
             object.__setattr__(self, f.name, positions)
         if self.propeller_mics.shape[0] != N_ROTORS or self.rotors.shape[0] != N_ROTORS:
             raise SceneError("expected exactly 4 rotors and 4 propeller mics")
-
-    def _key(self) -> tuple:
-        return tuple(
-            None if a is None else (a.shape, tuple(a.ravel().tolist()))
-            for a in (getattr(self, f.name) for f in fields(self))
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SceneGeometry):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __reduce__(self):
         # rebuild through __post_init__ so an unpickled copy (a sweep
@@ -106,7 +90,7 @@ def default_geometry(include_external: bool = True) -> SceneGeometry:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneConfig:
     speech_path: str
     target_snr_db: float = -10.0
@@ -425,36 +409,3 @@ def suite_partition(m_speech_noise: int) -> ChannelPartition:
         noise_only_channels=tuple(range(N_ARRAY_MICS, N_ARRAY_MICS + N_ROTORS)),
         ref_channel=0,
     )
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid point of the evaluation sweep."""
-
-    scene: SceneConfig
-    partition: ChannelPartition
-    spp_mode: str
-    method: str
-
-    def key(self) -> dict:
-        return {
-            "snr_db": self.scene.target_snr_db,
-            "m_speech_noise": self.partition.n_speech_noise,
-            "m_noise_only": self.partition.n_noise_only,
-            "spp_mode": self.spp_mode,
-            "method": self.method,
-            "seed": self.scene.seed,
-        }
-
-
-def default_suite(speech_path: str = "speech.wav", seed: int = 0) -> list[SweepCell]:
-    """The 3x3x3x3 evaluation grid: SNR x array size x SPP mode x method."""
-    cells = []
-    for snr in DEFAULT_SNRS_DB:
-        scene = SceneConfig(speech_path=speech_path, target_snr_db=snr, seed=seed)
-        for m_sn in DEFAULT_ARRAY_SIZES:
-            part = suite_partition(m_sn)
-            for mode in SPP_MODES:
-                for method in METHODS:
-                    cells.append(SweepCell(scene=scene, partition=part, spp_mode=mode, method=method))
-    return cells

@@ -1,6 +1,6 @@
 import json
 import pickle
-from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,8 +8,10 @@ import pytest
 from egomwf.audio_io import AudioClip, read_wav, write_wav
 from egomwf.cli import main, run_sweep, write_sweep_outputs
 from egomwf.config import ConfigError, EnhanceConfig, load_config, parse_config
+from egomwf.filters import METHODS
 from egomwf.metrics import stoi
-from egomwf.scenegen import SceneConfig, render_scene, write_scene
+from egomwf.scenegen import SceneConfig, render_scene, suite_partition, write_scene
+from egomwf.spp import SPP_MODES
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +264,20 @@ def test_cmd_enhance_reference_length_mismatch_exit_3(tmp_path, scene_dir, confi
     assert err.count("\n") == 1 and "20000 samples" in err
 
 
+def test_cmd_enhance_external_length_mismatch_exit_3(tmp_path, scene_dir, config_file, capsys):
+    # a 24000-sample external microphone on a 64000-sample mixture
+    ext = read_wav(scene_dir / "external.wav")
+    short = tmp_path / "external_short.wav"
+    write_wav(AudioClip(ext.samples[:, :24000], ext.sample_rate_hz), short, "32f")
+    code = main(["enhance", "--input", str(scene_dir / "mixture.wav"),
+                 "--output", str(tmp_path / "o.wav"), "--config", config_file,
+                 "--spp-mode", "external", "--external", str(short)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: external microphone has 24000 samples but the input has 64000\n"
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_cmd_enhance_oracle_mode(tmp_path, scene_dir, config_file):
     out = tmp_path / "oracle.wav"
     code = main(
@@ -501,7 +517,7 @@ def test_cmd_evaluate_matches_library(tmp_path, scene_dir):
     )
     assert code == 0
     data = json.loads(report.read_text())
-    direct = stoi(read_wav(clean), read_wav(noisy), 16000)
+    direct = stoi(read_wav(clean), read_wav(noisy))
     assert data["stoi_out"] == pytest.approx(direct, abs=1e-12)
 
 
@@ -535,6 +551,20 @@ def test_cmd_evaluate_flags_capped_snr(tmp_path, scene_dir):
     }
 
 
+def test_cmd_evaluate_processed_rate_mismatch_exit_3(tmp_path, scene_dir, capsys):
+    mixture = read_wav(scene_dir / "mixture.wav").channel(0)
+    paths = {name: tmp_path / f"{name}.wav" for name in ("clean", "noisy", "processed")}
+    write_wav(read_wav(scene_dir / "speech.wav").channel(0), paths["clean"], "32f")
+    write_wav(mixture, paths["noisy"], "32f")
+    write_wav(AudioClip(mixture.samples, 8000), paths["processed"], "32f")
+    code = main(["evaluate", *(f"--{name}={path}" for name, path in paths.items()),
+                 "--report", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: rate mismatch: clean 16000 Hz vs processed 8000 Hz\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cmd_evaluate_missing_file_exit_3(tmp_path):
     code = main(
         [
@@ -561,6 +591,20 @@ def test_sweep_produces_all_cells(short_sweep):
     assert all(row["status"] == "ok" for row in short_sweep)
     snrs = {row["snr_db"] for row in short_sweep}
     assert snrs == {-20.0, -10.0, 0.0}
+
+
+def test_run_sweep_runs_every_snr_given(speech_wav, short_sweep):
+    rows = run_sweep(speech_wav, seeds=[0], duration_s=2.0, snrs=(5.0,), workers=1)
+    assert len(rows) == 27
+    assert all(r["snr_db"] == 5.0 and r["status"] == "ok" for r in rows)
+    key_fields = ("seed", "snr_db", "m_speech_noise", "m_noise_only", "spp_mode", "method")
+    assert len({tuple(r[k] for k in key_fields) for r in short_sweep}) == 81
+    for row in short_sweep + rows:
+        part = suite_partition(row["m_speech_noise"])
+        assert not set(part.speech_noise_channels) & set(part.noise_only_channels)
+        assert row["m_noise_only"] == part.n_noise_only
+        assert row["m_speech_noise"] + row["m_noise_only"] <= 16
+        assert row["spp_mode"] in SPP_MODES and row["method"] in METHODS
 
 
 def test_sweep_outputs_and_shape(tmp_path, short_sweep):
@@ -627,10 +671,10 @@ def test_cmd_sweep_cell_failure_exit(tmp_path, speech_wav, monkeypatch):
     import egomwf.cli as cli
 
     real = cli.run_cell
-    def broken(scene, cell):
-        if cell.method == "pk-mwf" and cell.scene.target_snr_db == -10.0:
+    def broken(shared, partition, spp_mode, method):
+        if method == "pk-mwf" and shared.scene.manifest["target_snr_db"] == -10.0:
             raise ValueError("injected failure")
-        return real(scene, cell)
+        return real(shared, partition, spp_mode, method)
 
     monkeypatch.setattr(cli, "run_cell", broken)
     code = main(
@@ -673,31 +717,30 @@ def test_cli_output_matches_library_bytes(tmp_path, scene_dir, config_file):
 def test_sweep_marks_package_error_row_failed(speech_wav, monkeypatch):
     import egomwf.cli as cli
     from egomwf.filters import FilterError
-    from egomwf.scenegen import default_suite
 
-    cells = default_suite(speech_wav, seed=0)[:2]
     real = cli.run_cell
 
-    def broken(scene, cell):
-        if cell is cells[0]:
+    def broken(shared, partition, spp_mode, method):
+        if (partition.n_speech_noise, spp_mode, method) == (4, "internal", "mwf"):
             raise FilterError("singular noise-reference Gram matrix")
-        return real(scene, cell)
+        return real(shared, partition, spp_mode, method)
 
     monkeypatch.setattr(cli, "run_cell", broken)
-    rows = cli._run_scene_group((replace(cells[0].scene, duration_s=2.0), cells))
+    monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
+    rows = cli._run_scene_group(SceneConfig(speech_wav, target_snr_db=-20.0, duration_s=2.0))
+    assert len(rows) == 9
     assert rows[0]["status"] == "failed: singular noise-reference Gram matrix"
-    assert rows[1]["status"] == "ok"
+    assert all(r["status"] == "ok" for r in rows[1:])
 
 
 # ------------------------------------------------------- shared scene work
 
+_SCORE_KEYS = ("snr_in_db", "snr_out_db", "snr_improvement_db",
+               "stoi_in", "stoi_out", "stoi_improvement")
 
-def _short_scene_group(speech_wav):
-    from egomwf.scenegen import default_suite
 
-    cells = [c for c in default_suite(speech_wav, seed=0) if c.scene.target_snr_db == -10.0]
-    assert len(cells) == 27
-    return replace(cells[0].scene, duration_s=2.0), cells
+def _short_scene_cfg(speech_wav):
+    return SceneConfig(speech_wav, target_snr_db=-10.0, seed=0, duration_s=2.0)
 
 
 def test_scene_group_rows_match_per_cell_path(speech_wav):
@@ -707,25 +750,29 @@ def test_scene_group_rows_match_per_cell_path(speech_wav):
     from egomwf.metrics import evaluate
     from egomwf.pipeline import enhance
 
-    scene_cfg, cells = _short_scene_group(speech_wav)
-    rows = cli._run_scene_group((scene_cfg, cells))
+    scene_cfg = _short_scene_cfg(speech_wav)
+    rows = cli._run_scene_group(scene_cfg)
     scene = render_scene(scene_cfg)
     ext = scene.manifest["channels"]["external"]
-    assert len(rows) == len(cells)
-    for row, cell in zip(rows, cells):
+    cells = list(product(cli.DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
+    assert len(rows) == len(cells) == 27
+    for row, (m_speech_noise, spp_mode, method) in zip(rows, cells):
+        partition = suite_partition(m_speech_noise)
         cfg = EnhanceConfig(
-            partition=cell.partition,
-            spp_mode=cell.spp_mode,
-            spp_channel=ext if cell.spp_mode == "external" else None,
-            method=cell.method,
+            partition=partition,
+            spp_mode=spp_mode,
+            spp_channel=ext if spp_mode == "external" else None,
+            method=method,
         )
         result = enhance(scene.mixture, cfg, scene.speech_image, scene.noise_image)
         report = evaluate(result, scene.speech_image.channel(0), scene.mixture.channel(0))
+        key = {"seed": 0, "snr_db": -10.0, "m_speech_noise": m_speech_noise,
+               "m_noise_only": partition.n_noise_only, "spp_mode": spp_mode, "method": method}
+        assert row.keys() == {*key, *_SCORE_KEYS, "status"}
         assert row["status"] == "ok"
-        assert {k: row[k] for k in cell.key()} == cell.key()
-        for key in ("snr_in_db", "snr_out_db", "snr_improvement_db",
-                    "stoi_in", "stoi_out", "stoi_improvement"):
-            assert abs(row[key] - getattr(report, key)) <= 1e-12, (cell.key(), key)
+        assert {k: row[k] for k in key} == key
+        for name in _SCORE_KEYS:
+            assert abs(row[name] - getattr(report, name)) <= 1e-12, (key, name)
 
 
 def test_scene_group_stft_count_does_not_grow_with_cells(speech_wav, monkeypatch):
@@ -742,12 +789,14 @@ def test_scene_group_stft_count_does_not_grow_with_cells(speech_wav, monkeypatch
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, "analyze", counted)
-    scene_cfg, cells = _short_scene_group(speech_wav)
+    scene_cfg = _short_scene_cfg(speech_wav)
     counts = []
-    # the first nine cells hold every SPP mode and method, for one array size
-    for group in (cells[:9], cells):
+    # one array size gives nine cells: every SPP mode and method
+    for sizes in ((4,), (4, 8, 12)):
+        monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", sizes)
         calls.clear()
-        rows = cli._run_scene_group((scene_cfg, group))
+        rows = cli._run_scene_group(scene_cfg)
+        assert len(rows) == 9 * len(sizes)
         assert all(r["status"] == "ok" for r in rows)
         counts.append(len(calls))
     assert counts[0] == counts[1]

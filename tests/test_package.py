@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import egomwf
@@ -61,29 +63,22 @@ def test_every_config_field_is_read():
     assert not unread, unread
 
 
-def test_benchmark_probe_bindings_resolve():
-    """Every name the benchmark tracer wraps (the "egomwf.<module>.<name>"
-    bindings in perfbench/spans.py PROBES) still exists, so a refactor that
-    drops a probed import fails here instead of in a traced run."""
-    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    tree = ast.parse(spans.read_text())
-    probes = next(
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "PROBES" for t in node.targets)
-    )
-    bindings = [
-        node.value
-        for node in ast.walk(probes)
-        if isinstance(node, ast.Constant)
-        and isinstance(node.value, str)
-        and node.value.startswith("egomwf.")
-    ]
+def test_benchmark_probe_bindings_resolve(monkeypatch):
+    """Every name the benchmark tracer wraps (the bindings of PROBES in
+    perfbench/spans.py) is still a callable, so a refactor that renames or
+    drops a probed function fails here instead of in a traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up; leave no bytecode beside the benchmark
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(spans)
+    bindings = [binding for probe in spans.PROBES for binding in probe.bindings]
     assert len(bindings) >= 20
     missing = []
     for binding in bindings:
         module, name = binding.rsplit(".", 1)
-        if not hasattr(importlib.import_module(module), name):
+        if not callable(getattr(importlib.import_module(module), name, None)):
             missing.append(binding)
     assert not missing, missing

@@ -5,15 +5,11 @@ import numpy as np
 import pytest
 
 from egomwf.audio_io import AudioClip
-from egomwf.filters import METHODS
 from egomwf.scenegen import (
-    SPP_MODES,
     SceneConfig,
     SceneError,
     SceneGeometry,
-    SweepCell,
     default_geometry,
-    default_suite,
     fractional_delay,
     make_oracle_mask,
     render_scene,
@@ -218,22 +214,6 @@ def test_zero_speech_rejected(tmp_path):
         render_scene(SceneConfig(speech_path=str(path)))
 
 
-def test_default_suite_size_and_validity(speech_wav):
-    cells = default_suite(speech_wav, seed=0)
-    assert len(cells) == 81
-    keys = set()
-    for cell in cells:
-        part = cell.partition
-        sn = set(part.speech_noise_channels)
-        no = set(part.noise_only_channels)
-        assert not sn & no
-        assert len(sn) + len(no) <= 16
-        assert cell.spp_mode in SPP_MODES
-        assert cell.method in METHODS
-        keys.add(tuple(sorted(cell.key().items())))
-    assert len(keys) == 81  # all cells distinct
-
-
 def test_suite_partition_bounds():
     part = suite_partition(12)
     assert part.speech_noise_channels == tuple(range(12))
@@ -261,7 +241,7 @@ def test_geometry_defaults():
     assert geo.external_mic[2] == pytest.approx(geo.source[2] + 0.2)
 
 
-def test_scene_configs_are_values(speech_wav):
+def test_scene_geometry_is_read_only(speech_wav):
     geo = default_geometry()
     rebuilt = SceneGeometry(
         source=geo.source.tolist(),
@@ -272,22 +252,10 @@ def test_scene_configs_are_values(speech_wav):
     )
     a = SceneConfig(speech_path=speech_wav, duration_s=2.0)
     b = SceneConfig(speech_path=speech_wav, duration_s=2.0, geometry=rebuilt)
-    assert a == b and hash(a) == hash(b)
-    assert SceneConfig(speech_path="x") == SceneConfig(speech_path="x")
-    assert len({a, b}) == 1
-    moved = SceneGeometry(
-        geo.source + [0.0, 0.0, 0.01], geo.array_mics, geo.propeller_mics, geo.rotors, None
-    )
-    assert moved != geo
-    assert SceneConfig(speech_path=speech_wav, duration_s=2.0, geometry=moved) != a
-    assert default_geometry(include_external=False) != geo
     with pytest.raises(ValueError):
         geo.array_mics[0, 0] = 1.0
     copied = pickle.loads(pickle.dumps(geo))
-    assert copied == geo and not copied.rotors.flags.writeable
-    cell = SweepCell(scene=a, partition=suite_partition(4), spp_mode="internal", method="mwf")
-    twin = SweepCell(scene=b, partition=suite_partition(4), spp_mode="internal", method="mwf")
-    assert cell == twin and hash(cell) == hash(twin)
+    assert np.array_equal(copied.rotors, geo.rotors) and not copied.rotors.flags.writeable
 
     # the read-only copies render exactly what the default geometry renders
     ra, rb = render_scene(a), render_scene(b)
