@@ -96,6 +96,10 @@ def _enhance_report(cfg: EnhanceConfig, result: EnhanceResult, elapsed: float) -
 
 
 def cmd_enhance(args: argparse.Namespace) -> int:
+    if bool(args.speech_ref) != bool(args.noise_ref):
+        return _fail_config("--speech-ref and --noise-ref must be given together")
+    if not args.speech_ref and (args.shadow_speech_out or args.shadow_noise_out):
+        return _fail_config("--shadow-*-out needs --speech-ref and --noise-ref")
     overrides = {
         "method": args.method,
         "spp_mode": args.spp_mode,
@@ -105,10 +109,10 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     clip = _load_multichannel(args.input, args.external)
     if cfg.spp_mode == "external" and cfg.spp_channel is None and args.external is not None:
         cfg = replace(cfg, spp_channel=clip.n_channels - 1)
-    speech_ref = noise_ref = None
-    if cfg.spp_mode == "oracle" and not (args.speech_ref and args.noise_ref):
+    if cfg.spp_mode == "oracle" and not args.speech_ref:
         return _fail_config("oracle SPP mode needs --speech-ref and --noise-ref")
-    if args.speech_ref and args.noise_ref:
+    speech_ref = noise_ref = None
+    if args.speech_ref:
         speech_ref = read_wav(args.speech_ref)
         noise_ref = read_wav(args.noise_ref)
     t0 = time.perf_counter()
@@ -135,10 +139,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail_config(f"scene config not found: {cfg_path}")
     try:
         raw = json.loads(cfg_path.read_text())
-        if not isinstance(raw, dict) or "geometry" in raw:
-            raise TypeError("expected a JSON object of SceneConfig fields other than geometry")
-        raw.setdefault("speech_path", args.speech)
-        cfg = SceneConfig(**raw)
+        # a non-object or an unknown key (geometry is fixed) is a TypeError
+        cfg = SceneConfig(**{"speech_path": args.speech, **raw})
         if args.duration is not None:
             cfg = replace(cfg, duration_s=args.duration)
     except (TypeError, json.JSONDecodeError, SceneError) as exc:
@@ -154,8 +156,10 @@ def _reference_channel(path: str) -> AudioClip:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if bool(args.shadow_speech) != bool(args.shadow_noise):
+        return _fail_config("--shadow-speech and --shadow-noise must be given together")
     shadow_speech = shadow_noise = None
-    if args.shadow_speech and args.shadow_noise:
+    if args.shadow_speech:
         shadow_speech = _reference_channel(args.shadow_speech)
         shadow_noise = _reference_channel(args.shadow_noise)
     report = score_output(

@@ -7,6 +7,7 @@ reported in one pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ class ConfigError(EgomwfError):
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
-        super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in violations))
+        super().__init__("invalid configuration: " + "; ".join(violations))
 
     def __reduce__(self):
         # rebuild from the violations, not from the formatted message
@@ -65,8 +66,8 @@ def validate_semantics(cfg: EnhanceConfig) -> list[str]:
         violations.append(f"method must be one of {METHODS}, got {cfg.method!r}")
     if cfg.spp_mode not in SPP_MODES:
         violations.append(f"spp_mode must be one of {SPP_MODES}, got {cfg.spp_mode!r}")
-    if cfg.delta < 0:
-        violations.append(f"delta must be >= 0, got {cfg.delta}")
+    if not 0 <= cfg.delta < math.inf:
+        violations.append(f"delta must be >= 0 and finite, got {cfg.delta}")
     if cfg.spp_channel is not None and cfg.spp_channel < 0:
         violations.append(f"spp_channel must be >= 0, got {cfg.spp_channel}")
     return violations
@@ -81,7 +82,7 @@ def _parse_section(raw: dict, key: str, builder, errors: list[str], default):
         return default() if callable(default) else default
     try:
         return builder(section)
-    except (TypeError, StftError, SppError, FilterError) as exc:
+    except (TypeError, ValueError, OverflowError, StftError, SppError, FilterError) as exc:
         errors.append(f"{key}: {exc}")
         return default() if callable(default) else default
 

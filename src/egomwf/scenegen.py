@@ -1,20 +1,20 @@
 """Synthetic UAV acoustic scenes with ground-truth components.
 
 Free-field propagation over a desk-scale replica of the measurement
-geometry: a speech source 2 m out near the floor, a 16-element array
-(12 main + 4 propeller microphones) on a frame 1.15 m up, rotor noise
-sources just above the propeller mics, and an optional external
-microphone 0.2 m above the source. Every scene carries exact per-channel
-speech/noise components; make_oracle_mask turns the reference channel's
-components into an oracle activity mask. DEFAULT_SNRS_DB,
-DEFAULT_ARRAY_SIZES and suite_partition define the sweep's scenes and
-partitions.
+geometry, fixed as module constants: a speech source 2 m out near the
+floor (SOURCE), a 16-element array (12 main ARRAY_MICS + 4
+PROPELLER_MICS) on a frame 1.15 m up, ROTORS just above the propeller
+mics, and an EXTERNAL_MIC 0.2 m above the source. Every scene carries
+exact per-channel speech/noise components; make_oracle_mask turns the
+reference channel's components into an oracle activity mask.
+DEFAULT_SNRS_DB, DEFAULT_ARRAY_SIZES and suite_partition define the
+sweep's scenes and partitions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,59 +35,23 @@ class SceneError(EgomwfError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class SceneGeometry:
-    """Positions in meters; arrays are (n, 3) and read-only."""
-
-    source: np.ndarray
-    array_mics: np.ndarray
-    propeller_mics: np.ndarray
-    rotors: np.ndarray
-    external_mic: np.ndarray | None
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.name == "external_mic":
-                continue
-            positions = np.array(value, dtype=float)
-            positions.setflags(write=False)
-            object.__setattr__(self, f.name, positions)
-        if self.propeller_mics.shape[0] != N_ROTORS or self.rotors.shape[0] != N_ROTORS:
-            raise SceneError("expected exactly 4 rotors and 4 propeller mics")
-
-    def __reduce__(self):
-        # rebuild through __post_init__ so an unpickled copy (a sweep
-        # worker's) is validated and read-only too
-        return SceneGeometry, tuple(getattr(self, f.name) for f in fields(self))
-
-    @property
-    def n_embedded(self) -> int:
-        return self.array_mics.shape[0] + self.propeller_mics.shape[0]
-
-    def embedded_positions(self) -> np.ndarray:
-        return np.vstack([self.array_mics, self.propeller_mics])
-
-
-def default_geometry(include_external: bool = True) -> SceneGeometry:
-    """Frame-mounted circular array at 1.15 m, rotors on four arms."""
-    angles = np.deg2rad(np.arange(N_ARRAY_MICS) * 30.0)
-    array_mics = np.stack(
-        [0.25 * np.cos(angles), 0.25 * np.sin(angles), np.full(N_ARRAY_MICS, 1.15)], axis=1
-    )
-    rotor_angles = np.deg2rad([45.0, 135.0, 225.0, 315.0])
-    rotors = np.stack(
-        [0.35 * np.cos(rotor_angles), 0.35 * np.sin(rotor_angles), np.full(4, 1.22)], axis=1
-    )
-    prop_mics = rotors.copy()
-    prop_mics[:, 2] = 1.12
-    return SceneGeometry(
-        source=np.array([2.0, 0.0, 0.1]),
-        array_mics=array_mics,
-        propeller_mics=prop_mics,
-        rotors=rotors,
-        external_mic=np.array([2.0, 0.0, 0.3]) if include_external else None,
-    )
+# positions in meters, read-only; each propeller mic sits just below its rotor
+SOURCE = np.array([2.0, 0.0, 0.1])
+_angles = np.deg2rad(np.arange(N_ARRAY_MICS) * 30.0)
+ARRAY_MICS = np.stack(
+    [0.25 * np.cos(_angles), 0.25 * np.sin(_angles), np.full(N_ARRAY_MICS, 1.15)], axis=1
+)
+_rotor_angles = np.deg2rad([45.0, 135.0, 225.0, 315.0])
+ROTORS = np.stack(
+    [0.35 * np.cos(_rotor_angles), 0.35 * np.sin(_rotor_angles), np.full(N_ROTORS, 1.22)], axis=1
+)
+PROPELLER_MICS = ROTORS.copy()
+PROPELLER_MICS[:, 2] = 1.12
+EXTERNAL_MIC = np.array([2.0, 0.0, 0.3])
+for _positions in (SOURCE, ARRAY_MICS, PROPELLER_MICS, ROTORS, EXTERNAL_MIC):
+    _positions.setflags(write=False)
+del _angles, _rotor_angles, _positions
+N_EMBEDDED = N_ARRAY_MICS + N_ROTORS
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +60,6 @@ class SceneConfig:
     target_snr_db: float = -10.0
     seed: int = 0
     rotor_speeds_rpm: tuple[float, float, float, float] = (4080.0, 3920.0, 4040.0, 3960.0)
-    geometry: SceneGeometry = field(default_factory=default_geometry)
     coupling_own_db: float = 0.0
     coupling_cross_db: float = -12.0
     coupling_array_db: float = -6.0
@@ -117,12 +80,16 @@ class SceneConfig:
             raise SceneError(f"need {N_ROTORS} rotor speeds, got {len(self.rotor_speeds_rpm)}")
         if any(r <= 0 for r in self.rotor_speeds_rpm):
             raise SceneError("rotor speeds must be positive")
-        if not math.isfinite(self.target_snr_db):
-            raise SceneError("target SNR must be finite")
+        for name, value in vars(self).items():
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if name.endswith("_db") and not (real and math.isfinite(value)):
+                raise SceneError(f"{name} must be a finite number, got {value!r}")
+        if type(self.seed) is not int:
+            raise SceneError(f"seed must be an integer, got {self.seed!r}")
         if self.duration_s is not None and not 0 < self.duration_s < math.inf:
             raise SceneError(f"duration must be finite and positive, got {self.duration_s}")
-        if self.sample_rate_hz <= 0:
-            raise SceneError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:
+            raise SceneError(f"sample rate must be an integer > 0, got {self.sample_rate_hz!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +116,7 @@ def steering_delay_gain(
     return delay, ref_distance / dist
 
 
-def fractional_delay(x: np.ndarray, delay: float, taps: int = DELAY_FILTER_TAPS) -> np.ndarray:
+def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
     """Delay a signal by a non-integer number of samples.
 
     Windowed-sinc interpolation; output has the input's length, with the
@@ -160,8 +127,8 @@ def fractional_delay(x: np.ndarray, delay: float, taps: int = DELAY_FILTER_TAPS)
     x = np.asarray(x, dtype=float)
     n0 = int(np.floor(delay))
     mu = delay - n0
-    half = taps // 2
-    t = np.arange(taps) - half - mu
+    half = DELAY_FILTER_TAPS // 2
+    t = np.arange(DELAY_FILTER_TAPS) - half - mu
     window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 1)))
     kernel = np.sinc(t) * window
     kernel /= kernel.sum()
@@ -251,11 +218,10 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     """Render mixture/speech/noise images and the manifest.
 
     Channel layout: 12 main-array channels, then 4 propeller channels,
-    then the external microphone when the geometry includes one. The
+    then the external microphone (channel N_EMBEDDED). The
     noise image is scaled so the reference channel (0) meets the target
     SNR exactly; the external channel sits 15 dB above that.
     """
-    geo = cfg.geometry
     fs = cfg.sample_rate_hz
     speech = _load_speech(cfg)
     n = speech.size
@@ -265,21 +231,17 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     if speech_power <= 0:
         raise SceneError("speech material has zero energy; SNR target unreachable")
 
-    positions = geo.embedded_positions()
-    has_external = geo.external_mic is not None
-    if has_external:
-        positions = np.vstack([positions, geo.external_mic])
-    n_mics = positions.shape[0]
-    n_embedded = geo.n_embedded
-    ref_distance = float(np.linalg.norm(geo.source - geo.array_mics[0]))
+    mics = np.vstack([ARRAY_MICS, PROPELLER_MICS, EXTERNAL_MIC])
+    n_mics = mics.shape[0]
+    ref_distance = float(np.linalg.norm(SOURCE - ARRAY_MICS[0]))
 
     # speech images: relative delays, 1/r gains, propeller capsules shielded
     delays = np.empty(n_mics)
     gains = np.empty(n_mics)
     for i in range(n_mics):
-        delays[i], gains[i] = steering_delay_gain(geo.source, positions[i], fs, ref_distance)
+        delays[i], gains[i] = steering_delay_gain(SOURCE, mics[i], fs, ref_distance)
     rejection = 10.0 ** (cfg.propeller_speech_rejection_db / 20.0)
-    gains[N_ARRAY_MICS:n_embedded] *= rejection
+    gains[N_ARRAY_MICS:N_EMBEDDED] *= rejection
     delays -= delays.min()
     speech_image = np.stack(
         [gains[i] * fractional_delay(speech, delays[i]) for i in range(n_mics)]
@@ -297,11 +259,11 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     noise_image = np.zeros((n_mics, n))
     for r in range(N_ROTORS):
         for i in range(n_mics):
-            if N_ARRAY_MICS <= i < n_embedded:
+            if N_ARRAY_MICS <= i < N_EMBEDDED:
                 gain = own if (i - N_ARRAY_MICS) == r else cross
             else:
                 gain = to_array
-            path_delay, _ = steering_delay_gain(geo.rotors[r], positions[i], fs)
+            path_delay, _ = steering_delay_gain(ROTORS[r], mics[i], fs)
             noise_image[i] += gain * fractional_delay(rotor_signals[r], path_delay)
     # incoherent per-channel part: a random-phase surrogate of the
     # channel's own coherent noise (local turbulence / structure-borne
@@ -321,14 +283,12 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     if ref_noise_power <= 0:
         raise SceneError("reference-channel noise image is silent")
     alpha = np.sqrt(ref_speech_power / ref_noise_power / 10.0 ** (cfg.target_snr_db / 10.0))
-    noise_image[:n_embedded] *= alpha
-    ext = n_embedded if has_external else None
-    if has_external:
-        ext_speech_power = np.mean(speech_image[ext] ** 2)
-        ext_noise_power = np.mean(noise_image[ext] ** 2)
-        target_ext = cfg.target_snr_db + cfg.external_snr_offset_db
-        alpha_ext = np.sqrt(ext_speech_power / ext_noise_power / 10.0 ** (target_ext / 10.0))
-        noise_image[ext] *= alpha_ext
+    noise_image[:N_EMBEDDED] *= alpha
+    ext_speech_power = np.mean(speech_image[N_EMBEDDED] ** 2)
+    ext_noise_power = np.mean(noise_image[N_EMBEDDED] ** 2)
+    target_ext = cfg.target_snr_db + cfg.external_snr_offset_db
+    alpha_ext = np.sqrt(ext_speech_power / ext_noise_power / 10.0 ** (target_ext / 10.0))
+    noise_image[N_EMBEDDED] *= alpha_ext
 
     mixture = speech_image + noise_image
     speech_clip = AudioClip(speech_image, fs)
@@ -345,8 +305,8 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
         "rotor_speeds_rpm": list(cfg.rotor_speeds_rpm),
         "channels": {
             "array": list(range(N_ARRAY_MICS)),
-            "propeller": list(range(N_ARRAY_MICS, n_embedded)),
-            "external": ext,
+            "propeller": list(range(N_ARRAY_MICS, N_EMBEDDED)),
+            "external": N_EMBEDDED,
         },
         "reference_channel": 0,
         "coupling_db": {
@@ -356,7 +316,7 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
         },
         "propeller_speech_rejection_db": cfg.propeller_speech_rejection_db,
         "sensor_noise_db": cfg.sensor_noise_db,
-        "external_snr_offset_db": cfg.external_snr_offset_db if has_external else None,
+        "external_snr_offset_db": cfg.external_snr_offset_db,
         "speech_path": str(cfg.speech_path),
     }
     return SceneOutput(
@@ -368,29 +328,19 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
 
 
 def write_scene(scene: SceneOutput, out_dir: str | Path) -> dict:
-    """Write mixture/speech/noise (embedded channels), optional external
-    channel, and the manifest to a scene directory; returns the manifest."""
+    """Write the embedded channels of the mixture, speech and noise images,
+    the mixture's external channel and the manifest; returns the manifest."""
     import json
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_embedded = len(scene.manifest["channels"]["array"]) + len(
-        scene.manifest["channels"]["propeller"]
-    )
     fs = scene.mixture.sample_rate_hz
-    write_wav(AudioClip(scene.mixture.samples[:n_embedded], fs), out_dir / "mixture.wav", "32f")
-    write_wav(AudioClip(scene.speech_image.samples[:n_embedded], fs), out_dir / "speech.wav", "32f")
-    write_wav(AudioClip(scene.noise_image.samples[:n_embedded], fs), out_dir / "noise.wav", "32f")
-    ext = scene.manifest["channels"]["external"]
-    if ext is not None:
-        write_wav(AudioClip(scene.mixture.samples[ext : ext + 1], fs), out_dir / "external.wav", "32f")
+    images = {"mixture": scene.mixture, "speech": scene.speech_image, "noise": scene.noise_image}
+    for name, clip in images.items():
+        write_wav(AudioClip(clip.samples[:N_EMBEDDED], fs), out_dir / f"{name}.wav", "32f")
+    write_wav(AudioClip(scene.mixture.samples[N_EMBEDDED:], fs), out_dir / "external.wav", "32f")
     manifest = dict(scene.manifest)
-    manifest["files"] = {
-        "mixture": "mixture.wav",
-        "speech": "speech.wav",
-        "noise": "noise.wav",
-        "external": "external.wav" if ext is not None else None,
-    }
+    manifest["files"] = {name: f"{name}.wav" for name in (*images, "external")}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 

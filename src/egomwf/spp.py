@@ -36,10 +36,10 @@ class SppParams:
             raise SppError(f"spp_cap must be in (0,1), got {self.spp_cap}")
         if not 0.0 < self.threshold < 1.0:
             raise SppError(f"threshold must be in (0,1), got {self.threshold}")
-        if self.xi_h1 <= 0:
-            raise SppError(f"xi_h1 must be positive, got {self.xi_h1}")
-        if self.init_frames < 1:
-            raise SppError(f"init_frames must be >= 1, got {self.init_frames}")
+        if not 0 < self.xi_h1 < np.inf:
+            raise SppError(f"xi_h1 must be positive and finite, got {self.xi_h1}")
+        if type(self.init_frames) is not int or self.init_frames < 1:
+            raise SppError(f"init_frames must be an integer >= 1, got {self.init_frames!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,10 +39,12 @@ class StftParams:
     sample_rate_hz: int = 16000
 
     def __post_init__(self):
-        if self.fft_size < 8 or self.fft_size % 2 != 0:
-            raise StftError(f"fft_size must be even and >= 8, got {self.fft_size}")
-        if self.hop <= 0 or self.hop > self.fft_size:
-            raise StftError(f"hop must be in 1..fft_size, got {self.hop}")
+        if type(self.fft_size) is not int or self.fft_size < 8 or self.fft_size % 2 != 0:
+            raise StftError(f"fft_size must be an even integer >= 8, got {self.fft_size!r}")
+        if type(self.hop) is not int or not 0 < self.hop <= self.fft_size:
+            raise StftError(f"hop must be an integer in 1..fft_size, got {self.hop!r}")
+        if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:
+            raise StftError(f"sample_rate_hz must be an integer > 0, got {self.sample_rate_hz!r}")
 
     @property
     def n_bins(self) -> int:

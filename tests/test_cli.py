@@ -80,8 +80,10 @@ def test_parse_config_collects_all_violations():
     text = str(err.value)
     assert "overlap" in text
     assert "bogus_key" in text
-    # overlapping channels reported from the partition section
-    assert text.count("- ") >= 2
+    # overlapping channels reported from the partition section, and every
+    # violation on the one line
+    assert len(err.value.violations) >= 2
+    assert "\n" not in text and text.count("; ") == len(err.value.violations) - 1
 
 
 def test_parse_config_method_mode_violations():
@@ -166,18 +168,41 @@ def test_cmd_enhance_missing_input_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_cmd_enhance_bad_config_exit_2(tmp_path, scene_dir):
+_PARTITION = '"partition": {"speech_noise_channels": [0, 1, 2, 3]}'
+BAD_CONFIGS = [
+    '{"method": "nope"}',
+    # integers given as floats or bools
+    f'{{{_PARTITION}, "stft": {{"fft_size": 512.0}}}}',
+    f'{{{_PARTITION}, "stft": {{"hop": true}}}}',
+    f'{{{_PARTITION}, "stft": {{"sample_rate_hz": 16000.5}}}}',
+    f'{{{_PARTITION}, "spp": {{"init_frames": 2.5}}}}',
+    f'{{{_PARTITION}, "spp": {{"init_frames": true}}}}',
+    # numbers that do not parse, overflow or are not finite
+    f'{{{_PARTITION}, "spp": {{"xi_h1_db": "x"}}}}',
+    f'{{{_PARTITION}, "spp": {{"xi_h1_db": 4000}}}}',
+    f'{{{_PARTITION}, "spp": {{"xi_h1": 1e400}}}}',
+    f'{{{_PARTITION}, "delta": NaN}}',
+    f'{{{_PARTITION}, "delta": Infinity}}',
+    # two violations still make one line
+    '{"partition": {"speech_noise_channels": [0, 1], "noise_only_channels": [1]}, "x": 1}',
+]
+
+
+def test_cmd_enhance_bad_config_exit_2(tmp_path, scene_dir, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"method": "nope"}))
-    code = main(
-        [
-            "enhance",
-            "--input", str(scene_dir / "mixture.wav"),
-            "--output", str(tmp_path / "o.wav"),
-            "--config", str(bad),
-        ]
-    )
-    assert code == 2
+    for text in BAD_CONFIGS:
+        bad.write_text(text)
+        code = main(
+            [
+                "enhance",
+                "--input", str(scene_dir / "mixture.wav"),
+                "--output", str(tmp_path / "o.wav"),
+                "--config", str(bad),
+            ]
+        )
+        assert code == 2, text
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "o.wav").exists()
 
 
 def test_cmd_enhance_processing_error_exit_3(tmp_path, scene_dir, config_file, speech_wav):
@@ -330,7 +355,7 @@ def test_cmd_enhance_shadow_export_feeds_evaluate(tmp_path, scene_dir, config_fi
     assert data["flags"] == []
 
 
-def test_cmd_enhance_oracle_without_refs_exit_2(tmp_path, scene_dir, config_file):
+def test_cmd_enhance_oracle_without_refs_exit_2(tmp_path, scene_dir, config_file, capsys):
     code = main(
         [
             "enhance",
@@ -341,6 +366,32 @@ def test_cmd_enhance_oracle_without_refs_exit_2(tmp_path, scene_dir, config_file
         ]
     )
     assert code == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "refs, shadow_outs",
+    [(["speech"], []), (["noise"], []), (["speech"], ["speech"]), ([], ["speech"]), ([], ["noise"])],
+)
+def test_cmd_enhance_half_reference_pair_exit_2(
+    tmp_path, scene_dir, config_file, capsys, refs, shadow_outs
+):
+    """A ground-truth reference without its partner, or a shadow output
+    without both references, is a usage error, not a silent no-op."""
+    flags = [a for r in refs for a in (f"--{r}-ref", str(scene_dir / f"{r}.wav"))]
+    flags += [a for s in shadow_outs for a in (f"--shadow-{s}-out", str(tmp_path / f"sh_{s}.wav"))]
+    code = main(
+        [
+            "enhance",
+            "--input", str(scene_dir / "mixture.wav"),
+            "--output", str(tmp_path / "o.wav"),
+            "--config", config_file,
+            *flags,
+        ]
+    )
+    assert code == 2
+    _assert_one_line_error(capsys)
+    assert not list(tmp_path.glob("*.wav"))
 
 
 def test_cmd_enhance_external_mode(tmp_path, scene_dir, config_file):
@@ -414,6 +465,15 @@ def test_cmd_simulate_deterministic_bytes(tmp_path, speech_wav):
         {"seed": 1, "geometry": {"array": [[0, 0, 0]]}},
         {"duration_s": -1},  # values SceneConfig rejects
         {"rotor_speeds_rpm": [4000.0, 4100.0]},
+        # integers given as floats, strings or bools
+        {"seed": 1.5},
+        {"seed": "abc"},
+        {"seed": True},
+        {"sample_rate_hz": 16000.5},
+        # dB fields that are not finite numbers
+        {"coupling_own_db": "x"},
+        {"sensor_noise_db": None},
+        {"target_snr_db": float("nan")},
     ],
 )
 def test_cmd_simulate_malformed_scene_config_exit_2(tmp_path, speech_wav, capsys, raw):
@@ -549,6 +609,18 @@ def test_cmd_evaluate_flags_capped_snr(tmp_path, scene_dir):
         "snr_in_db", "snr_out_db", "snr_improvement_db",
         "stoi_in", "stoi_out", "stoi_improvement", "flags",
     }
+
+
+@pytest.mark.parametrize("given", ["speech", "noise"])
+def test_cmd_evaluate_half_shadow_pair_exit_2(tmp_path, scene_dir, capsys, given):
+    """One shadow component without the other cannot give an output SNR."""
+    mixture = str(scene_dir / "mixture.wav")
+    report = tmp_path / "r.json"
+    code = main(["evaluate", "--clean", str(scene_dir / "speech.wav"), "--processed", mixture,
+                 "--noisy", mixture, f"--shadow-{given}", mixture, "--report", str(report)])
+    assert code == 2
+    _assert_one_line_error(capsys)
+    assert not report.exists()
 
 
 def test_cmd_evaluate_processed_rate_mismatch_exit_3(tmp_path, scene_dir, capsys):

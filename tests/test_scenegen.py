@@ -1,15 +1,18 @@
 import json
-import pickle
 
 import numpy as np
 import pytest
 
 from egomwf.audio_io import AudioClip
 from egomwf.scenegen import (
+    ARRAY_MICS,
+    EXTERNAL_MIC,
+    N_EMBEDDED,
+    PROPELLER_MICS,
+    ROTORS,
+    SOURCE,
     SceneConfig,
     SceneError,
-    SceneGeometry,
-    default_geometry,
     fractional_delay,
     make_oracle_mask,
     render_scene,
@@ -132,17 +135,16 @@ def test_speech_negligible_at_propeller_mics(default_scene):
 def test_own_rotor_dominates_propeller_channel(speech_wav):
     """Re-render each rotor's coherent contribution and compare powers."""
     cfg = SceneConfig(speech_path=speech_wav, target_snr_db=-10.0, seed=0)
-    geo = cfg.geometry
     fs = cfg.sample_rate_hz
     duration = 2.0
     own = 10.0 ** (cfg.coupling_own_db / 20.0)
     cross = 10.0 ** (cfg.coupling_cross_db / 20.0)
     for k in range(4):
-        mic = geo.propeller_mics[k]
+        mic = PROPELLER_MICS[k]
         powers = []
         for r in range(4):
             sig = synth_ego_noise(cfg.rotor_speeds_rpm[r], duration, fs, (cfg.seed, r)).samples[0]
-            delay, _ = steering_delay_gain(geo.rotors[r], mic, fs)
+            delay, _ = steering_delay_gain(ROTORS[r], mic, fs)
             gain = own if r == k else cross
             powers.append(np.mean((gain * fractional_delay(sig, delay)) ** 2))
         for r in range(4):
@@ -233,31 +235,12 @@ def test_write_scene_files(tmp_path, speech_wav):
 
 
 def test_geometry_defaults():
-    geo = default_geometry()
-    assert geo.array_mics.shape == (12, 3)
-    assert geo.propeller_mics.shape == (4, 3)
-    assert np.allclose(geo.array_mics[:, 2], 1.15)
-    assert np.linalg.norm(geo.source - np.array([2.0, 0.0, 0.1])) == 0.0
-    assert geo.external_mic[2] == pytest.approx(geo.source[2] + 0.2)
-
-
-def test_scene_geometry_is_read_only(speech_wav):
-    geo = default_geometry()
-    rebuilt = SceneGeometry(
-        source=geo.source.tolist(),
-        array_mics=geo.array_mics.tolist(),
-        propeller_mics=geo.propeller_mics.tolist(),
-        rotors=geo.rotors.tolist(),
-        external_mic=geo.external_mic.tolist(),
-    )
-    a = SceneConfig(speech_path=speech_wav, duration_s=2.0)
-    b = SceneConfig(speech_path=speech_wav, duration_s=2.0, geometry=rebuilt)
-    with pytest.raises(ValueError):
-        geo.array_mics[0, 0] = 1.0
-    copied = pickle.loads(pickle.dumps(geo))
-    assert np.array_equal(copied.rotors, geo.rotors) and not copied.rotors.flags.writeable
-
-    # the read-only copies render exactly what the default geometry renders
-    ra, rb = render_scene(a), render_scene(b)
-    for clip in ("mixture", "speech_image", "noise_image"):
-        assert np.array_equal(getattr(ra, clip).samples, getattr(rb, clip).samples)
+    assert ARRAY_MICS.shape == (12, 3)
+    assert PROPELLER_MICS.shape == ROTORS.shape == (4, 3)
+    assert N_EMBEDDED == 16
+    assert np.allclose(ARRAY_MICS[:, 2], 1.15)
+    assert np.linalg.norm(SOURCE - np.array([2.0, 0.0, 0.1])) == 0.0
+    assert EXTERNAL_MIC[2] == pytest.approx(SOURCE[2] + 0.2)
+    for positions in (SOURCE, ARRAY_MICS, PROPELLER_MICS, ROTORS, EXTERNAL_MIC):
+        with pytest.raises(ValueError):
+            positions[..., 0] = 1.0
