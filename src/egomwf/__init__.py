@@ -10,15 +10,7 @@ from .audio_io import AudioClip, read_wav, resample, write_wav
 from .config import EnhanceConfig, load_config, parse_config
 from .covariance import BinStatistics, estimate_correlations, regularize
 from .errors import EgomwfError
-from .filters import (
-    ChannelPartition,
-    FilterBank,
-    build_filterbank,
-    build_selection_blocking,
-    compute_gsc,
-    compute_mwf,
-    compute_pkmwf,
-)
+from .filters import ChannelPartition, FilterBank, build_filterbank, compute_gsc
 from .gevd import PencilDecomposition, gevd
 from .metrics import MetricsReport, evaluate, snr_db, stoi
 from .pipeline import EnhanceResult, apply_filterbank, enhance
@@ -41,8 +33,7 @@ __all__ = [
     "SppParams", "SppMask", "estimate_spp",
     "BinStatistics", "estimate_correlations", "regularize",
     "PencilDecomposition", "gevd",
-    "ChannelPartition", "FilterBank", "build_selection_blocking",
-    "compute_mwf", "compute_gsc", "compute_pkmwf", "build_filterbank",
+    "ChannelPartition", "FilterBank", "compute_gsc", "build_filterbank",
     "EnhanceResult", "apply_filterbank", "enhance",
     "MetricsReport", "snr_db", "stoi", "evaluate",
     "SceneConfig", "SceneOutput", "steering_delay_gain",

@@ -42,7 +42,7 @@ from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition
 from .metrics import InputScores, score_input, score_output
-from .pipeline import EnhanceResult, InputAnalysis, enhance
+from .pipeline import EnhanceResult, InputAnalysis, PipelineError, enhance
 from .scenegen import (
     DEFAULT_ARRAY_SIZES,
     DEFAULT_SNRS_DB,
@@ -118,10 +118,12 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     result = enhance(clip, cfg, speech_ref, noise_ref)
     elapsed = time.perf_counter() - t0
+    if (args.shadow_speech_out or args.shadow_noise_out) and result.shadow_speech is None:
+        raise PipelineError("--shadow-*-out: the references do not carry every filter channel")
     write_wav(result.enhanced, args.output, "32f")
-    if args.shadow_speech_out and result.shadow_speech is not None:
+    if args.shadow_speech_out:
         write_wav(result.shadow_speech, args.shadow_speech_out, "32f")
-    if args.shadow_noise_out and result.shadow_noise is not None:
+    if args.shadow_noise_out:
         write_wav(result.shadow_noise, args.shadow_noise_out, "32f")
     if args.report:
         Path(args.report).write_text(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .covariance import DEFAULT_LOADING
 from .errors import EgomwfError
-from .filters import METHODS, ChannelPartition, FilterError
+from .filters import METHODS, ChannelPartition, FilterError, is_channel
 from .spp import SPP_MODES, SppError, SppParams
 from .stft import StftError, StftParams
 
@@ -68,8 +68,8 @@ def validate_semantics(cfg: EnhanceConfig) -> list[str]:
         violations.append(f"spp_mode must be one of {SPP_MODES}, got {cfg.spp_mode!r}")
     if not 0 <= cfg.delta < math.inf:
         violations.append(f"delta must be >= 0 and finite, got {cfg.delta}")
-    if cfg.spp_channel is not None and cfg.spp_channel < 0:
-        violations.append(f"spp_channel must be >= 0, got {cfg.spp_channel}")
+    if cfg.spp_channel is not None and not is_channel(cfg.spp_channel):
+        violations.append(f"spp_channel must be a non-negative integer, got {cfg.spp_channel!r}")
     return violations
 
 
@@ -114,7 +114,7 @@ def _build_partition(section: dict) -> ChannelPartition:
     return ChannelPartition(
         speech_noise_channels=tuple(section.get("speech_noise_channels", ())),
         noise_only_channels=tuple(section.get("noise_only_channels", ())),
-        ref_channel=int(section.get("ref_channel", 0)),
+        ref_channel=section.get("ref_channel", 0),
     )
 
 

@@ -2,8 +2,7 @@
 
 Batch estimation over the whole file: speech-plus-noise frames feed
 R_yy, inactive frames feed R_nn, each averaged by its own frame count.
-The result is one BinStatistics whose fields carry a leading bins axis;
-stats[k] is the single-bin view of bin k.
+The result is one BinStatistics whose fields carry a leading bins axis.
 """
 
 from __future__ import annotations
@@ -25,31 +24,19 @@ _BIN_BLOCK = 16
 
 @dataclass(frozen=True, eq=False)
 class BinStatistics:
-    """Hermitian (r_yy, r_nn) pairs for one frequency bin or a stack of bins.
+    """Hermitian (r_yy, r_nn) pairs for a stack of frequency bins.
 
-    A single bin holds (M, M) matrices and int counts; a stack holds
-    (bins, M, M) matrices and (bins,) int arrays; stats[k] is the bin-k
-    view, and iterating a stack yields the views in bin order.
-    l_on/l_off count the speech-active and inactive frames that entered
-    each average; a zero count leaves the corresponding matrix zero and
-    is resolved by the filter stage's fallbacks.
+    r_yy and r_nn are (bins, M, M); l_on, l_off and bin_index are (bins,)
+    int arrays. l_on/l_off count the speech-active and inactive frames
+    that entered each average; a zero count leaves the corresponding
+    matrix zero and is resolved by the filter stage's fallbacks.
     """
 
     r_yy: np.ndarray
     r_nn: np.ndarray
-    l_on: int | np.ndarray
-    l_off: int | np.ndarray
-    bin_index: int | np.ndarray
-
-    def __getitem__(self, k: int) -> "BinStatistics":
-        """Single-bin view of bin k of a stack."""
-        return BinStatistics(
-            r_yy=self.r_yy[k],
-            r_nn=self.r_nn[k],
-            l_on=int(self.l_on[k]),
-            l_off=int(self.l_off[k]),
-            bin_index=int(self.bin_index[k]),
-        )
+    l_on: np.ndarray
+    l_off: np.ndarray
+    bin_index: np.ndarray
 
     def block(self, positions: Sequence[int]) -> "BinStatistics":
         """Principal sub-block on the listed channel positions, in that order.
@@ -136,7 +123,6 @@ def regularize(stats: BinStatistics, delta: float = DEFAULT_LOADING) -> BinStati
 
     Where r_nn is all-zero (no inactive frames) the loading level falls
     back to the trace of r_yy so the noise matrix is still invertible.
-    Works on single-bin and stacked statistics alike.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")

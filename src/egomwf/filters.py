@@ -1,15 +1,16 @@
 """Filter weights for stacked frequency bins: standard MWF and the
 prior-knowledge MWF.
 
-One core computes every bin of a stacked BinStatistics at once; the
-single-bin functions compute_mwf and compute_pkmwf are calls into the
-same core. Both filters share the rank-1 GEVD machinery: the speech covariance is
-the best rank-1 PSD fit to R_yy - R_nn in the noise-whitened metric, and
-the weight vector applies the Wiener gain 1 - sigma_n1/sigma_y1 along
-the principal generalized eigendirection. The prior-knowledge variant
-first cancels the noise-reference channels with an LCMV/GSC stage and
-solves the reduced pencil, which constrains the implied speech
-covariance to carry nothing on the reference channels.
+build_filterbank is the one way to compute weights: filter_partition
+maps the method to the partition its filter runs on, and one core
+computes every bin of a stacked BinStatistics at once. Both filters
+share the rank-1 GEVD machinery: the speech covariance is the best
+rank-1 PSD fit to R_yy - R_nn in the noise-whitened metric, and the
+weight vector applies the Wiener gain 1 - sigma_n1/sigma_y1 along the
+principal generalized eigendirection. The prior-knowledge variant first
+cancels the noise-reference channels with an LCMV/GSC stage and solves
+the reduced pencil, which constrains the implied speech covariance to
+carry nothing on the reference channels.
 """
 
 from __future__ import annotations
@@ -38,10 +39,16 @@ class FilterError(EgomwfError):
     pass
 
 
+def is_channel(value) -> bool:
+    """True for a non-negative integer channel index (numpy integers too, bools not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class ChannelPartition:
     """Physical channel indices split into speech-plus-noise and
     noise-only (propeller) sets; ref_channel indexes into the first set.
+    Every index must be a non-negative integer; they are stored as int.
     """
 
     speech_noise_channels: tuple[int, ...]
@@ -49,10 +56,15 @@ class ChannelPartition:
     ref_channel: int = 0
 
     def __post_init__(self):
+        given = (*self.speech_noise_channels, *self.noise_only_channels, self.ref_channel)
+        bad = [c for c in given if not is_channel(c)]
+        if bad:
+            raise FilterError(f"channel indices must be non-negative integers, got {bad}")
         sn = tuple(int(c) for c in self.speech_noise_channels)
         no = tuple(int(c) for c in self.noise_only_channels)
         object.__setattr__(self, "speech_noise_channels", sn)
         object.__setattr__(self, "noise_only_channels", no)
+        object.__setattr__(self, "ref_channel", int(self.ref_channel))
         if not sn:
             raise FilterError("speech_noise_channels must be nonempty")
         if len(set(sn)) != len(sn) or len(set(no)) != len(no):
@@ -84,9 +96,6 @@ class ChannelPartition:
         """Physical indices in filter order: speech+noise first."""
         return self.speech_noise_channels + self.noise_only_channels
 
-    def without_noise_mics(self) -> "ChannelPartition":
-        return ChannelPartition(self.speech_noise_channels, (), self.ref_channel)
-
     def describe(self) -> dict:
         return {
             "speech_noise_channels": list(self.speech_noise_channels),
@@ -112,18 +121,6 @@ class FilterBank:
         return counts
 
 
-def build_selection_blocking(partition: ChannelPartition) -> tuple[np.ndarray, np.ndarray]:
-    """Selection matrix h = [I; 0] and blocking matrix b = [0; I] in the
-    reordered (speech+noise first) basis."""
-    k, mn = partition.n_speech_noise, partition.n_noise_only
-    m = k + mn
-    h = np.zeros((m, k))
-    h[:k, :] = np.eye(k)
-    b = np.zeros((m, mn))
-    b[k:, :] = np.eye(mn)
-    return h, b
-
-
 def _wiener_gain(sigma_y1: np.ndarray, sigma_n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamped gain max(0, 1 - sigma_n1/sigma_y1); flags where clamping hit."""
     sigma_y1 = np.asarray(sigma_y1, dtype=np.float64)
@@ -133,25 +130,24 @@ def _wiener_gain(sigma_y1: np.ndarray, sigma_n1: np.ndarray) -> tuple[np.ndarray
     return np.maximum(raw, 0.0), raw < 0
 
 
-def compute_gsc(r_nn: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LCMV solution in GSC form: C = H - B (B^H R B)^{-1} B^H R H.
+def compute_gsc(r_nn: np.ndarray, k: int) -> np.ndarray:
+    """LCMV solution in GSC form for (..., M, M) r_nn whose first k
+    channels are kept and the rest blocked.
 
-    Satisfies H^H C = I exactly and minimizes trace(C^H R_nn C) over all
-    constraint-satisfying matrices. Accepts stacked r_nn.
+    With selection H = [I; 0] and blocking B = [0; I] this is
+    C = H - B (B^H R B)^{-1} B^H R H = [I; -R_bb^{-1} R_bh], where R_bb
+    and R_bh are the noise-reference rows of r_nn. It satisfies H^H C = I
+    exactly and minimizes trace(C^H R_nn C) over all such matrices.
     """
     r_nn = np.asarray(r_nn, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape[-1] == 0:
-        return np.broadcast_to(h, r_nn.shape[:-2] + h.shape).copy()
-    bh = np.conj(b.T)
-    gram = bh @ r_nn @ b
-    cross = bh @ r_nn @ h
     try:
-        f = np.linalg.solve(gram, cross)
+        f = np.linalg.solve(r_nn[..., k:, k:], r_nn[..., k:, :k])
     except np.linalg.LinAlgError as exc:
         raise FilterError(f"singular noise-reference Gram matrix: {exc}") from exc
-    return h - b @ f
+    c = np.zeros(r_nn.shape[:-1] + (k,), dtype=np.complex128)
+    c[..., :k, :] = np.eye(k)
+    c[..., k:, :] -= f
+    return c
 
 
 def _reduced_pencil(
@@ -162,7 +158,7 @@ def _reduced_pencil(
     where the pencil is used as it is)."""
     if not partition.n_noise_only:
         return r_yy, r_nn, None
-    c = compute_gsc(r_nn, *build_selection_blocking(partition))
+    c = compute_gsc(r_nn, partition.n_speech_noise)
     ch = np.conj(np.swapaxes(c, -2, -1))
     return ch @ r_yy @ c, ch @ r_nn @ c, c
 
@@ -170,7 +166,7 @@ def _reduced_pencil(
 def _filter(
     stats: BinStatistics, partition: ChannelPartition, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (..., M) and status codes (...) for single-bin or stacked stats.
+    """Weights (bins, M) and status codes (bins,) for stacked stats.
 
     Loads r_nn by delta, then resolves the count fallbacks: no speech
     frames suppress the bin (w = 0), no noise frames pass it through
@@ -208,54 +204,34 @@ def _filter(
     return weights, status
 
 
-def _all_speech_noise(m: int, ref: int) -> ChannelPartition:
-    return ChannelPartition(tuple(range(m)), (), ref)
+def implied_speech_covariance(stats: BinStatistics, partition: ChannelPartition) -> np.ndarray:
+    """Rank-1 speech covariances (..., M, M) implied by the filter solution.
 
-
-def compute_mwf(stats: BinStatistics, ref: int = 0) -> tuple[np.ndarray, str]:
-    """Standard MWF weights for one bin; returns (weights, status).
-
-    Fallbacks: no speech frames suppress the bin (w = 0), no noise
-    frames pass it through (w = e_d), and an all-zero r_nn suppresses it
-    as clamped. A negative estimated speech power clamps the gain to
-    zero and flags the bin. No diagonal loading: regularize first.
+    This is the paper's R_ss estimate H Q_r diag(s_y1 - s_n1, 0, ...) Q_r^H H^H
+    from the (reduced) pencil, where H = [I; 0] embeds the speech+noise
+    channels; without noise-only channels it is Q diag(s_y1 - s_n1, 0, ...) Q^H.
+    The difference is clamped at zero to keep the result PSD. No diagonal
+    loading is applied.
     """
-    w, status = _filter(stats, _all_speech_noise(stats.r_yy.shape[-1], ref), 0.0)
-    return w, status.tolist()
-
-
-def compute_pkmwf(stats: BinStatistics, partition: ChannelPartition) -> tuple[np.ndarray, str]:
-    """Prior-knowledge MWF weights for one bin; returns (weights, status).
-
-    The GSC stage cancels the noise-reference channels, the reduced
-    pencil is decomposed, and the weights are lifted back through C.
-    Same fallbacks as compute_mwf.
-    """
-    w, status = _filter(stats, partition, 0.0)
-    return w, status.tolist()
-
-
-def implied_speech_covariance(stats: BinStatistics, partition: ChannelPartition | None = None) -> np.ndarray:
-    """Rank-1 speech covariance implied by the (PK-)MWF solution.
-
-    With a partition this is H Q_r diag(s_y1 - s_n1, 0, ...) Q_r^H H^H from
-    the reduced pencil; without one it is the standard-MWF estimate
-    Q diag(s_y1 - s_n1, 0, ...) Q^H. The difference is clamped at zero to
-    keep the result PSD.
-    """
-    if partition is None:
-        partition = _all_speech_noise(stats.r_yy.shape[-1], 0)
     r_yy_red, r_nn_red, _ = _reduced_pencil(stats.r_yy, stats.r_nn, partition)
     dec = gevd(r_yy_red, r_nn_red)
-    top = max(dec.sigma_y[0] - dec.sigma_n[0], 0.0)
-    h, _ = build_selection_blocking(partition)
-    hq1 = h @ dec.q[:, 0]
-    return top * np.outer(hq1, np.conj(hq1))
+    top = np.maximum(dec.sigma_y[..., 0] - dec.sigma_n[..., 0], 0.0)
+    hq1 = np.zeros(stats.r_yy.shape[:-1], dtype=np.complex128)
+    hq1[..., : partition.n_speech_noise] = dec.q[..., :, 0]
+    return top[..., None, None] * hq1[..., :, None] * np.conj(hq1[..., None, :])
 
 
 def filter_partition(partition: ChannelPartition, method: str) -> ChannelPartition:
-    """The partition the method's filter runs on: "mwf" drops the noise-only channels."""
-    return partition.without_noise_mics() if method == METHOD_MWF else partition
+    """The partition the method's filter runs on, in filter channel order.
+
+    "mwf" keeps only the speech+noise channels, "mwf-with-noise-mics"
+    treats the noise-only channels as speech+noise channels too, and
+    "pk-mwf" keeps them blocked.
+    """
+    if method == METHOD_PKMWF:
+        return partition
+    extra = partition.noise_only_channels if method == METHOD_MWF_NOISE_MICS else ()
+    return ChannelPartition(partition.speech_noise_channels + extra, (), partition.ref_channel)
 
 
 def build_filterbank(
@@ -275,11 +251,8 @@ def build_filterbank(
     if np.ndim(stats.l_on) != 1:
         raise FilterError("build_filterbank needs stacked statistics, one entry per bin")
     eff = filter_partition(partition, method)
-    solve_part = (
-        _all_speech_noise(eff.n_total, eff.ref_channel) if method == METHOD_MWF_NOISE_MICS else eff
-    )
     t0 = time.perf_counter()
-    weights, status = _filter(stats, solve_part, delta)
+    weights, status = _filter(stats, eff, delta)
     return FilterBank(
         weights=weights,
         method=method,

@@ -79,12 +79,6 @@ def apply_filterbank(grid: StftGrid, fb: FilterBank, channels: Sequence[int]) ->
     return (grid.data @ np.conj(weights)[:, :, None])[:, :, 0]
 
 
-def _prepare_clip(clip: AudioClip, params: StftParams) -> AudioClip:
-    if clip.sample_rate_hz != params.sample_rate_hz:
-        clip = resample(clip, params.sample_rate_hz)
-    return clip
-
-
 def _mask_source(cfg: EnhanceConfig) -> tuple[str, int]:
     """(SPP mode, physical channel) the configured mask is computed from."""
     ref_phys = cfg.partition.speech_noise_channels[cfg.partition.ref_channel]
@@ -131,9 +125,10 @@ class InputAnalysis:
         channels: Sequence[int],
     ):
         self.params = params
-        self.clip = _prepare_clip(clip, params)
-        self.speech_ref = None if speech_ref is None else _prepare_clip(speech_ref, params)
-        self.noise_ref = None if noise_ref is None else _prepare_clip(noise_ref, params)
+        rate = params.sample_rate_hz
+        self.clip = resample(clip, rate)
+        self.speech_ref = None if speech_ref is None else resample(speech_ref, rate)
+        self.noise_ref = None if noise_ref is None else resample(noise_ref, rate)
         self.channels = tuple(channels)
         refs = (self.speech_ref, self.noise_ref)
         for name, ref in zip(("speech", "noise"), refs):

@@ -17,10 +17,8 @@ from egomwf.config import EnhanceConfig
 from egomwf.covariance import BinStatistics
 from egomwf.filters import (
     ChannelPartition,
-    build_selection_blocking,
+    build_filterbank,
     compute_gsc,
-    compute_mwf,
-    compute_pkmwf,
     implied_speech_covariance,
 )
 from egomwf.gevd import gevd
@@ -50,6 +48,21 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 def sweep_3seed(speech_wav):
     """Full 81-cell grid for three seeds, 10 s scenes."""
     return run_sweep(speech_wav, seeds=list(SWEEP_SEEDS), duration_s=10.0)
+
+
+def _one_bin(r_yy, r_nn):
+    """One-bin stacked statistics, eight frames on each side."""
+    return BinStatistics(r_yy[None], r_nn[None], np.array([8]), np.array([8]), np.array([0]))
+
+
+def _all(m):
+    """Every channel a speech+noise channel."""
+    return ChannelPartition(tuple(range(m)), ())
+
+
+def _weights(r_yy, r_nn, partition, method):
+    """Unloaded filter weights of one bin."""
+    return build_filterbank(_one_bin(r_yy, r_nn), partition, method, delta=0.0).weights[0]
 
 
 def _ispp_cell_means(rows):
@@ -136,8 +149,7 @@ def test_acceptance_03_rank1_fit_optimality():
     for trial in range(200):
         m = int(rng.integers(2, 7))
         r_yy, r_nn = rand_speech_pencil(rng, m)
-        st = BinStatistics(r_yy, r_nn, l_on=8, l_off=8, bin_index=0)
-        r_ss = implied_speech_covariance(st)
+        r_ss = implied_speech_covariance(_one_bin(r_yy, r_nn), _all(m))[0]
         low_inv = np.linalg.inv(np.linalg.cholesky(r_nn))
         delta = r_yy - r_nn
 
@@ -170,19 +182,18 @@ def test_acceptance_04_pkmwf_constraint_suite():
     count = 0
     for m_sn in GRID_SIZES:
         part = ChannelPartition(tuple(range(m_sn)), tuple(range(m_sn, m_sn + 4)))
-        h, b = build_selection_blocking(part)
+        m = part.n_total
+        h, b = np.eye(m)[:, :m_sn], np.eye(m)[:, m_sn:]
         for _ in range(70):
-            m = part.n_total
             r_yy, r_nn = rand_speech_pencil(rng, m)
-            st = BinStatistics(r_yy, r_nn, l_on=8, l_off=8, bin_index=0)
-            r_ss = implied_speech_covariance(st, part)
+            r_ss = implied_speech_covariance(_one_bin(r_yy, r_nn), part)[0]
             norm = max(np.linalg.norm(r_ss), 1e-30)
             worst_block = max(worst_block, float(np.linalg.norm(b.conj().T @ r_ss @ b) / norm))
             sv = np.linalg.svd(r_ss, compute_uv=False)
             worst_rank = max(worst_rank, float(sv[1] / max(sv[0], 1e-30)))
             eig_min = np.linalg.eigvalsh(0.5 * (r_ss + r_ss.conj().T)).min()
             worst_psd = max(worst_psd, float(-eig_min / max(np.trace(r_ss).real, 1e-30)))
-            c = compute_gsc(r_nn, h, b)
+            c = compute_gsc(r_nn, m_sn)
             worst_lcmv = max(worst_lcmv, float(np.linalg.norm(h.conj().T @ c - np.eye(m_sn))))
             count += 1
     ok = worst_block <= 1e-10 and worst_rank <= 1e-8 and worst_psd <= 1e-10 and worst_lcmv <= 1e-12
@@ -201,9 +212,8 @@ def test_acceptance_05_degeneracy_equivalences():
     worst_nofree = 0.0
     for _ in range(50):
         r_yy, r_nn = rand_speech_pencil(rng, 5)
-        st = BinStatistics(r_yy, r_nn, l_on=8, l_off=8, bin_index=0)
-        w_pk, _ = compute_pkmwf(st, ChannelPartition(tuple(range(5)), ()))
-        w_mwf, _ = compute_mwf(st, ref=0)
+        w_pk = _weights(r_yy, r_nn, _all(5), "pk-mwf")
+        w_mwf = _weights(r_yy, r_nn, _all(5), "mwf")
         worst_nofree = max(
             worst_nofree,
             float(np.linalg.norm(w_pk - w_mwf) / max(np.linalg.norm(w_mwf), 1e-30)),
@@ -216,9 +226,8 @@ def test_acceptance_05_degeneracy_equivalences():
         zeros = np.zeros((k, mn))
         r_yy = np.block([[r_yy_a, zeros], [zeros.T, r_nn_b]])
         r_nn = np.block([[r_nn_a, zeros], [zeros.T, r_nn_b]])
-        st = BinStatistics(r_yy, r_nn, l_on=8, l_off=8, bin_index=0)
-        w_pk, _ = compute_pkmwf(st, ChannelPartition(tuple(range(k)), (4, 5)))
-        w_sub, _ = compute_mwf(BinStatistics(r_yy_a, r_nn_a, 8, 8, 0), ref=0)
+        w_pk = _weights(r_yy, r_nn, ChannelPartition(tuple(range(k)), (4, 5)), "pk-mwf")
+        w_sub = _weights(r_yy_a, r_nn_a, _all(k), "mwf")
         padded = np.concatenate([w_sub, np.zeros(mn)])
         worst_block = max(
             worst_block,
@@ -228,11 +237,11 @@ def test_acceptance_05_degeneracy_equivalences():
     for _ in range(200):
         m = int(rng.integers(2, 7))
         r_yy, r_nn = rand_speech_pencil(rng, m)
-        st = BinStatistics(r_yy, r_nn, l_on=8, l_off=8, bin_index=0)
-        w, _ = compute_mwf(st, ref=0)
+        w = _weights(r_yy, r_nn, _all(m), "mwf")
         e_d = np.zeros(m)
         e_d[0] = 1.0
-        w_direct = np.linalg.solve(r_yy, implied_speech_covariance(st) @ e_d)
+        r_ss = implied_speech_covariance(_one_bin(r_yy, r_nn), _all(m))[0]
+        w_direct = np.linalg.solve(r_yy, r_ss @ e_d)
         worst_eq = max(
             worst_eq, float(np.linalg.norm(w - w_direct) / max(np.linalg.norm(w_direct), 1e-30))
         )

@@ -183,6 +183,14 @@ BAD_CONFIGS = [
     f'{{{_PARTITION}, "spp": {{"xi_h1": 1e400}}}}',
     f'{{{_PARTITION}, "delta": NaN}}',
     f'{{{_PARTITION}, "delta": Infinity}}',
+    # channel numbers that are not non-negative integers
+    f'{{{_PARTITION}, "spp_channel": 1.5}}',
+    '{"partition": {"speech_noise_channels": [0.5, 1]}}',
+    '{"partition": {"speech_noise_channels": [true, 2]}}',
+    '{"partition": {"speech_noise_channels": "01"}}',
+    '{"partition": {"speech_noise_channels": [0, 1], "ref_channel": 0.5}}',
+    '{"partition": {"speech_noise_channels": [0, 1], "ref_channel": true}}',
+    '{"partition": {"speech_noise_channels": [-1, 0]}}',
     # two violations still make one line
     '{"partition": {"speech_noise_channels": [0, 1], "noise_only_channels": [1]}, "x": 1}',
 ]
@@ -222,6 +230,7 @@ def _assert_one_line_error(capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 def test_cmd_enhance_clip_shorter_than_one_frame_exit_3(tmp_path, scene_dir, config_file, capsys):
@@ -392,6 +401,32 @@ def test_cmd_enhance_half_reference_pair_exit_2(
     assert code == 2
     _assert_one_line_error(capsys)
     assert not list(tmp_path.glob("*.wav"))
+
+
+@pytest.mark.parametrize("shadow", ["speech", "noise"])
+def test_cmd_enhance_shadow_out_from_single_channel_refs_exit_3(
+    tmp_path, scene_dir, config_file, capsys, shadow
+):
+    """Single-channel references can drive an oracle mask but cannot be
+    shadow-filtered, so a shadow output asked of them is an error."""
+    refs = []
+    for name in ("speech", "noise"):
+        path = tmp_path / f"{name}_ch0.wav"
+        write_wav(read_wav(scene_dir / f"{name}.wav").channel(0), path, "32f")
+        refs += [f"--{name}-ref", str(path)]
+    code = main(
+        [
+            "enhance",
+            "--input", str(scene_dir / "mixture.wav"),
+            "--output", str(tmp_path / "o.wav"),
+            "--config", config_file,
+            *refs,
+            f"--shadow-{shadow}-out", str(tmp_path / "sh.wav"),
+        ]
+    )
+    assert code == 3
+    assert "every filter channel" in _assert_one_line_error(capsys)
+    assert not (tmp_path / "o.wav").exists() and not (tmp_path / "sh.wav").exists()
 
 
 def test_cmd_enhance_external_mode(tmp_path, scene_dir, config_file):

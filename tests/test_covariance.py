@@ -18,34 +18,38 @@ def _mask_from(beta):
     return SppMask(spp=beta.astype(float), beta=beta.astype(np.uint8), source_channel=("internal", 0))
 
 
+def _bins(stats):
+    """(bin_index, r_yy, r_nn, l_on, l_off) of each bin of a stack, in bin order."""
+    return zip(stats.bin_index, stats.r_yy, stats.r_nn, stats.l_on, stats.l_off)
+
+
 def test_single_active_frame(rng):
     grid = _make_grid(rng, frames=1)
     mask = _mask_from(np.ones((grid.n_bins, 1)))
     stats = estimate_correlations(grid, mask, [0, 1, 2, 3])
     y = grid.data[3, 0, :]
-    assert np.allclose(stats[3].r_yy, np.outer(y, y.conj()), atol=1e-14)
-    assert stats[3].l_on == 1
-    assert stats[3].l_off == 0
-    assert np.all(stats[3].r_nn == 0)
+    assert np.allclose(stats.r_yy[3], np.outer(y, y.conj()), atol=1e-14)
+    assert stats.l_on[3] == 1
+    assert stats.l_off[3] == 0
+    assert np.all(stats.r_nn[3] == 0)
 
 
 def test_all_inactive(rng):
     grid = _make_grid(rng, frames=10)
     mask = _mask_from(np.zeros((grid.n_bins, 10)))
     stats = estimate_correlations(grid, mask, [0, 1, 2, 3])
-    for st in stats:
-        assert st.l_on == 0
-        y = grid.data[st.bin_index, :, :]
+    for k, _, r_nn, l_on, _ in _bins(stats):
+        assert l_on == 0
+        y = grid.data[k, :, :]
         naive = (y[:, :, None] * y[:, None, :].conj()).mean(axis=0)
-        assert np.allclose(st.r_nn, naive, atol=1e-13)
+        assert np.allclose(r_nn, naive, atol=1e-13)
 
 
 def test_matches_naive_double_loop(rng):
     grid = _make_grid(rng, bins=9, frames=25, channels=3)
     beta = (rng.uniform(size=(grid.n_bins, 25)) > 0.4).astype(np.uint8)
     stats = estimate_correlations(grid, _mask_from(beta), [2, 0, 1])
-    for st in stats:
-        k = st.bin_index
+    for k, r_yy, r_nn, l_on, l_off in _bins(stats):
         on = np.zeros((3, 3), complex)
         off = np.zeros((3, 3), complex)
         n_on = n_off = 0
@@ -59,18 +63,18 @@ def test_matches_naive_double_loop(rng):
                 off += outer
                 n_off += 1
         if n_on:
-            assert np.allclose(st.r_yy, on / n_on, rtol=1e-12, atol=1e-13)
+            assert np.allclose(r_yy, on / n_on, rtol=1e-12, atol=1e-13)
         if n_off:
-            assert np.allclose(st.r_nn, off / n_off, rtol=1e-12, atol=1e-13)
-        assert (st.l_on, st.l_off) == (n_on, n_off)
-        assert st.l_on + st.l_off == 25
+            assert np.allclose(r_nn, off / n_off, rtol=1e-12, atol=1e-13)
+        assert (l_on, l_off) == (n_on, n_off)
+        assert l_on + l_off == 25
 
 
 def test_hermitian_and_psd(rng):
     grid = _make_grid(rng, frames=40)
     beta = (rng.uniform(size=(grid.n_bins, 40)) > 0.5).astype(np.uint8)
-    for st in estimate_correlations(grid, _mask_from(beta), [0, 1, 2, 3]):
-        for mat in (st.r_yy, st.r_nn):
+    for _, r_yy, r_nn, _, _ in _bins(estimate_correlations(grid, _mask_from(beta), [0, 1, 2, 3])):
+        for mat in (r_yy, r_nn):
             assert np.allclose(mat, mat.conj().T, atol=1e-12 * max(np.linalg.norm(mat), 1))
             eig = np.linalg.eigvalsh(mat)
             assert eig.min() >= -1e-10 * max(np.trace(mat).real, 1e-30)
@@ -83,18 +87,18 @@ def test_channel_permutation(rng):
     base = estimate_correlations(grid, mask, [0, 1, 2, 3])
     perm = estimate_correlations(grid, mask, [2, 0, 3, 1])
     p = [2, 0, 3, 1]
-    for st_b, st_p in zip(base, perm):
-        assert np.allclose(st_p.r_yy, st_b.r_yy[np.ix_(p, p)], atol=1e-13)
-        assert np.allclose(st_p.r_nn, st_b.r_nn[np.ix_(p, p)], atol=1e-13)
+    for (_, b_yy, b_nn, _, _), (_, p_yy, p_nn, _, _) in zip(_bins(base), _bins(perm)):
+        assert np.allclose(p_yy, b_yy[np.ix_(p, p)], atol=1e-13)
+        assert np.allclose(p_nn, b_nn[np.ix_(p, p)], atol=1e-13)
 
 
 def test_all_ones_equals_full_average(rng):
     grid = _make_grid(rng, frames=15)
     mask = _mask_from(np.ones((grid.n_bins, 15)))
-    for st in estimate_correlations(grid, mask, [0, 1, 2, 3]):
-        y = grid.data[st.bin_index]
+    for k, r_yy, _, _, _ in _bins(estimate_correlations(grid, mask, [0, 1, 2, 3])):
+        y = grid.data[k]
         naive = (y[:, :, None] * y[:, None, :].conj()).mean(axis=0)
-        assert np.allclose(st.r_yy, naive, rtol=1e-12, atol=1e-13)
+        assert np.allclose(r_yy, naive, rtol=1e-12, atol=1e-13)
 
 
 def test_input_validation(rng):
@@ -114,7 +118,11 @@ def test_input_validation(rng):
 
 
 def _stats(r_yy, r_nn, l_on=5, l_off=5):
-    return BinStatistics(r_yy=r_yy, r_nn=r_nn, l_on=l_on, l_off=l_off, bin_index=0)
+    """One-bin stack."""
+    return BinStatistics(
+        r_yy=r_yy[None], r_nn=r_nn[None], l_on=np.array([l_on]), l_off=np.array([l_off]),
+        bin_index=np.array([0]),
+    )
 
 
 def test_regularize_zero_delta_is_identity(rng):
@@ -155,13 +163,13 @@ def test_stacked_products_match_per_bin_loop(rng):
     beta = (rng.uniform(size=(grid.n_bins, 70)) > 0.3).astype(np.uint8)
     channels = [5, 1, 3, 0]
     stats = estimate_correlations(grid, _mask_from(beta), channels)
-    for st in stats:
-        y = grid.data[st.bin_index][:, channels]  # (frames, M)
-        on = beta[st.bin_index].astype(bool)
+    for k, r_yy, r_nn, _, _ in _bins(stats):
+        y = grid.data[k][:, channels]  # (frames, M)
+        on = beta[k].astype(bool)
         ref_yy = y[on].T @ y[on].conj() / on.sum()
         ref_nn = y[~on].T @ y[~on].conj() / (~on).sum()
-        assert np.linalg.norm(st.r_yy - ref_yy) <= 1e-12 * np.linalg.norm(ref_yy)
-        assert np.linalg.norm(st.r_nn - ref_nn) <= 1e-12 * np.linalg.norm(ref_nn)
+        assert np.linalg.norm(r_yy - ref_yy) <= 1e-12 * np.linalg.norm(ref_yy)
+        assert np.linalg.norm(r_nn - ref_nn) <= 1e-12 * np.linalg.norm(ref_nn)
 
 
 def _reference_correlations(grid, beta, channels):
@@ -219,12 +227,12 @@ def test_r_nn_psd_with_one_inactive_frame_beside_loud_speech(rng):
     grid = StftGrid(data, grid.params)
     beta = np.ones((grid.n_bins, 50), dtype=np.uint8)
     beta[:, 0] = 0
-    for st in estimate_correlations(grid, _mask_from(beta), [0, 1, 2, 3]):
-        assert st.l_off == 1
-        y = grid.data[st.bin_index, 0, :]
+    for k, _, r_nn, _, l_off in _bins(estimate_correlations(grid, _mask_from(beta), [0, 1, 2, 3])):
+        assert l_off == 1
+        y = grid.data[k, 0, :]
         ref = np.outer(y, y.conj())
-        assert np.linalg.norm(st.r_nn - ref) <= 1e-12 * np.linalg.norm(ref)
-        eig = np.linalg.eigvalsh(st.r_nn)
+        assert np.linalg.norm(r_nn - ref) <= 1e-12 * np.linalg.norm(ref)
+        eig = np.linalg.eigvalsh(r_nn)
         assert eig.min() >= -1e-12 * eig.max()
 
 
@@ -250,8 +258,10 @@ def test_principal_block_matches_direct_estimate(rng, m):
 
 
 def test_block_of_single_bin_statistics(rng):
-    st = estimate_correlations(_make_grid(rng), _mask_from(np.ones((17, 30))), [0, 1, 2, 3])[5]
-    assert np.array_equal(st.block([3, 1]).r_yy, st.r_yy[np.ix_([3, 1], [3, 1])])
+    stats = estimate_correlations(_make_grid(rng), _mask_from(np.ones((17, 30))), [0, 1, 2, 3])
+    block = stats.block([3, 1])
+    assert block.r_yy.shape == (17, 2, 2)
+    assert np.array_equal(block.r_yy[5], stats.r_yy[5][np.ix_([3, 1], [3, 1])])
 
 
 def test_statistics_compare_by_identity_and_hash():

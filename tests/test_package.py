@@ -82,3 +82,38 @@ def test_benchmark_probe_bindings_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(module), name, None)):
             missing.append(binding)
     assert not missing, missing
+
+
+# public names no package or benchmark module reads, kept on purpose:
+# implied_speech_covariance is the paper's R_ss estimate, the reference the
+# filter tests compare weights against (R_yy^-1 R_ss e_ref)
+TEST_REFERENCE_API = {"implied_speech_covariance"}
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Bare names and attribute names a module reads."""
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return _referenced_names(tree) | attrs
+
+
+def test_no_test_only_public_api():
+    """Every public module-level function and class of the package is read
+    by a package module other than __init__.py, or by a non-test benchmark
+    module (where a probe's binding string counts), so no public code path
+    lives on for the tests alone."""
+    defined = {}
+    read = set()
+    for path in Path(egomwf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        if path.name != "__init__.py":
+            read |= _read_names(tree)
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        if not path.name.startswith("test_"):
+            tree = ast.parse(path.read_text())
+            strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+            read |= _read_names(tree) | {s.rsplit(".", 1)[-1] for s in strings if isinstance(s, str)}
+    unread = sorted(f"{defined[n]}:{n}" for n in set(defined) - read - TEST_REFERENCE_API)
+    assert not unread, unread
