@@ -7,17 +7,21 @@ config file holds processing settings only; every file path comes from a
 flag. The evaluate report is metrics.score_input on the clean/noisy pair
 followed by metrics.score_output on the processed file. The sweep runs
 one scene per seed and SNR, in --workers processes (by default
-min(4, cpu count)), and on each scene every array size x SPP mode x
-method.
+min(4, cores in the affinity mask)), and on each scene every array size
+x SPP mode x method.
 
 The sweep renders each scene once, and its cells share what does not
-depend on method or array size, each part computed on first use: the
-STFT grids of the mixture, speech and noise images on the 16 array and
-propeller channels (the external microphone is analysed on its own, for
-its mask), one mask per SPP mode, one covariance per mask over those 16
-channels (a cell's statistics are its principal sub-block on the cell's
-own channels) and the input SNR/STOI. Each cell then filters and scores
-through the same pipeline and metrics code as enhance and evaluate.
+depend on method or array size, each part computed by the first cell
+that needs it: the STFT grids of the mixture, speech and noise images on
+the 16 array and propeller channels (the external microphone is analysed
+on its own, for its mask), one mask per SPP mode, one covariance per
+mask over those 16 channels (a cell's statistics are its principal
+sub-block on the cell's own channels) and the input SNR/STOI. Each cell
+then filters and scores through the same pipeline and metrics code as
+enhance and evaluate. A scene holds BLAS at one thread and runs its
+cells on one thread per core of its share (all cores in-process,
+cores // workers in a pool worker), or on one thread where that pin
+does not take.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ import json
 import math
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
+from ctypes import CDLL, c_int
 from dataclasses import asdict, replace
-from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -188,11 +194,18 @@ class SharedScene:
             scene.noise_image,
             channels["array"] + channels["propeller"],
         )
+        self._lock = threading.Lock()
+        self._inputs: InputScores | None = None
 
-    @cached_property
+    @property
     def inputs(self) -> InputScores:
-        ref = self.scene.manifest["reference_channel"]
-        return score_input(self.scene.speech_image.channel(ref), self.scene.mixture.channel(ref))
+        """Computed once, by the first cell that reads it."""
+        with self._lock:
+            if self._inputs is None:
+                ref = self.scene.manifest["reference_channel"]
+                speech, mixture = self.scene.speech_image, self.scene.mixture
+                self._inputs = score_input(speech.channel(ref), mixture.channel(ref))
+        return self._inputs
 
 
 def run_cell(shared: SharedScene, partition: ChannelPartition, spp_mode: str, method: str) -> dict:
@@ -212,26 +225,53 @@ def run_cell(shared: SharedScene, partition: ChannelPartition, spp_mode: str, me
     return scores
 
 
-def _run_scene_group(scene_cfg: SceneConfig) -> list[dict]:
-    """Render one scene and run every array size x SPP mode x method on it."""
-    shared = SharedScene(render_scene(scene_cfg))
-    rows = []
-    for m_speech_noise, spp_mode, method in product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS):
-        partition = suite_partition(m_speech_noise)
-        row = {
-            "seed": scene_cfg.seed,
-            "snr_db": scene_cfg.target_snr_db,
-            "m_speech_noise": partition.n_speech_noise,
-            "m_noise_only": partition.n_noise_only,
-            "spp_mode": spp_mode,
-            "method": method,
-        }
-        try:
-            row.update(run_cell(shared, partition, spp_mode, method), status="ok")
-        except PROCESSING_ERRORS as exc:
-            row["status"] = f"failed: {exc}"
-        rows.append(row)
-    return rows
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread; yields whether the count reads
+    back 1, and restores the old count (one enhance is faster on more).
+    dlsym on numpy's extension also searches the libraries it loaded."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = CDLL(_multiarray_umath.__file__, mode=os.RTLD_NOLOAD)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):  # another BLAS: the count reads 0
+        get, set_ = (lambda: 0), (lambda count: None)
+    else:
+        get.argtypes, get.restype, set_.argtypes, set_.restype = [], c_int, [c_int], None
+    old = get()
+    set_(1)
+    try:
+        yield get() == 1
+    finally:
+        set_(old)
+
+
+def _run_scene_group(scene_cfg: SceneConfig, lanes: int = 1) -> list[dict]:
+    """Render one scene and run every array size x SPP mode x method on it,
+    on `lanes` threads; rows come back in product order."""
+    with _one_blas_thread() as pinned:
+        shared = SharedScene(render_scene(scene_cfg))
+
+        def run(cell: tuple) -> dict:
+            m_speech_noise, spp_mode, method = cell
+            partition = suite_partition(m_speech_noise)
+            row = {
+                "seed": scene_cfg.seed,
+                "snr_db": scene_cfg.target_snr_db,
+                "m_speech_noise": partition.n_speech_noise,
+                "m_noise_only": partition.n_noise_only,
+                "spp_mode": spp_mode,
+                "method": method,
+            }
+            try:
+                row.update(run_cell(shared, partition, spp_mode, method), status="ok")
+            except PROCESSING_ERRORS as exc:
+                row["status"] = f"failed: {exc}"
+            return row
+
+        with ThreadPoolExecutor(lanes if pinned else 1) as lane_pool:
+            return list(lane_pool.map(run, product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS)))
 
 
 CSV_COLUMNS = [
@@ -242,12 +282,12 @@ CSV_COLUMNS = [
 
 
 def _sweep_workers(workers: int | None) -> int:
-    """The sweep's worker count: `workers` when given, else min(4, cpu count).
+    """The sweep's worker count: `workers` when given, else min(4, usable cores).
 
     Raises ValueError on a count below 1.
     """
     if workers is None:
-        return min(4, os.cpu_count() or 1)
+        return min(4, len(os.sched_getaffinity(0)))
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
@@ -267,11 +307,12 @@ def run_sweep(
         for snr in snrs
     ]
     workers = _sweep_workers(workers)
+    cores = len(os.sched_getaffinity(0))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_run_scene_group, tasks))
+            grouped = list(pool.map(_run_scene_group, tasks, repeat(max(1, cores // workers))))
     else:
-        grouped = [_run_scene_group(t) for t in tasks]
+        grouped = [_run_scene_group(t, cores) for t in tasks]
     rows = [row for group in grouped for row in group]
     rows.sort(key=lambda r: (r["seed"], r["snr_db"], r["m_speech_noise"], r["spp_mode"], r["method"]))
     return rows

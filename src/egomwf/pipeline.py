@@ -24,6 +24,7 @@ binding, which the benchmark's single-threaded tracer wraps.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
@@ -114,6 +115,9 @@ class InputAnalysis:
     two component grids are analysed on a one-thread executor owned by
     this object, submitted when the mixture grid is built and joined by
     component_grids, which re-raises a worker error as it was raised.
+
+    enhance may run on several threads at once: the grids and each mask
+    and its correlations are built once, under the object's lock.
     """
 
     def __init__(
@@ -145,6 +149,7 @@ class InputAnalysis:
         self._column = {c: j for j, c in enumerate(self.channels)}
         self._single: dict[int, StftGrid] = {}
         self._estimates: dict = {}
+        self._lock = threading.Lock()
 
     @cached_property
     def grid(self) -> StftGrid:
@@ -199,9 +204,11 @@ class InputAnalysis:
         source = _mask_source(cfg)
         key = (source, cfg.spp)
         if key not in self._estimates:
-            mask = self._build_mask(source, cfg.spp)
-            columns = range(len(self.channels))
-            self._estimates[key] = mask, estimate_correlations(self.grid, mask, columns)
+            with self._lock:
+                if key not in self._estimates:
+                    mask = self._build_mask(source, cfg.spp)
+                    columns = range(len(self.channels))
+                    self._estimates[key] = mask, estimate_correlations(self.grid, mask, columns)
         return self._estimates[key]
 
     def _filtered(self, grid: StftGrid, fb: FilterBank) -> AudioClip:

@@ -14,6 +14,8 @@ sweep's scenes and partitions.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,7 +222,8 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     Channel layout: 12 main-array channels, then 4 propeller channels,
     then the external microphone (channel N_EMBEDDED). The
     noise image is scaled so the reference channel (0) meets the target
-    SNR exactly; the external channel sits 15 dB above that.
+    SNR exactly; the external channel sits 15 dB above that. The
+    images do not depend on the number of threads that render them.
     """
     fs = cfg.sample_rate_hz
     speech = _load_speech(cfg)
@@ -243,39 +246,42 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     rejection = 10.0 ** (cfg.propeller_speech_rejection_db / 20.0)
     gains[N_ARRAY_MICS:N_EMBEDDED] *= rejection
     delays -= delays.min()
-    speech_image = np.stack(
-        [gains[i] * fractional_delay(speech, delays[i]) for i in range(n_mics)]
-    )
 
-    # rotor signals and coupled noise images with per-path delays
+    # rotor signals, then per mic its speech and coupled noise images, on threads
     duration = n / fs
-    rotor_signals = [
-        synth_ego_noise(cfg.rotor_speeds_rpm[r], duration, fs, (cfg.seed, r)).samples[0][:n]
-        for r in range(N_ROTORS)
-    ]
     own = 10.0 ** (cfg.coupling_own_db / 20.0)
     cross = 10.0 ** (cfg.coupling_cross_db / 20.0)
     to_array = 10.0 ** (cfg.coupling_array_db / 20.0)
+    floor_gain = 10.0 ** (cfg.sensor_noise_db / 20.0)
+    speech_image = np.empty((n_mics, n))
     noise_image = np.zeros((n_mics, n))
-    for r in range(N_ROTORS):
-        for i in range(n_mics):
+
+    def rotor(r: int) -> np.ndarray:
+        return synth_ego_noise(cfg.rotor_speeds_rpm[r], duration, fs, (cfg.seed, r)).samples[0][:n]
+
+    def mic_rows(i: int) -> None:
+        speech_image[i] = gains[i] * fractional_delay(speech, delays[i])
+        row = noise_image[i]
+        for r in range(N_ROTORS):
             if N_ARRAY_MICS <= i < N_EMBEDDED:
                 gain = own if (i - N_ARRAY_MICS) == r else cross
             else:
                 gain = to_array
             path_delay, _ = steering_delay_gain(ROTORS[r], mics[i], fs)
-            noise_image[i] += gain * fractional_delay(rotor_signals[r], path_delay)
-    # incoherent per-channel part: a random-phase surrogate of the
-    # channel's own coherent noise (local turbulence / structure-borne
-    # vibration). Same power spectrum, no cross-channel coherence, so no
-    # spatial filter can cancel below sensor_noise_db at any frequency.
-    floor_gain = 10.0 ** (cfg.sensor_noise_db / 20.0)
-    floor_rng = np.random.default_rng((cfg.seed, N_ROTORS))
-    for i in range(n_mics):
-        spec_i = np.fft.rfft(noise_image[i])
-        phases = np.exp(2j * np.pi * floor_rng.uniform(size=spec_i.size))
-        surrogate = np.fft.irfft(np.abs(spec_i) * phases, n)
-        noise_image[i] = noise_image[i] + floor_gain * surrogate
+            row += gain * fractional_delay(rotors[r], path_delay)
+        # incoherent per-channel part: a random-phase surrogate of the
+        # channel's own coherent noise (local turbulence / structure-borne
+        # vibration). Same power spectrum, no cross-channel coherence, so no
+        # spatial filter can cancel below sensor_noise_db at any frequency.
+        # Mic i's phases are the draws after mics 0..i-1's in one stream.
+        spec = np.fft.rfft(row)
+        stream = np.random.PCG64((cfg.seed, N_ROTORS)).advance(i * spec.size)
+        phases = np.exp(2j * np.pi * np.random.Generator(stream).uniform(size=spec.size))
+        row += floor_gain * np.fft.irfft(np.abs(spec) * phases, n)
+
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), n_mics)) as pool:
+        rotors = list(pool.map(rotor, range(N_ROTORS)))
+        list(pool.map(mic_rows, range(n_mics)))
 
     # calibrate the embedded noise to the target SNR at the reference channel
     ref_speech_power = np.mean(speech_image[0] ** 2)

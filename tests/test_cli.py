@@ -840,6 +840,106 @@ def test_sweep_marks_package_error_row_failed(speech_wav, monkeypatch):
     assert all(r["status"] == "ok" for r in rows[1:])
 
 
+def test_sweep_workers_default_follows_affinity_mask(monkeypatch):
+    import os
+
+    import egomwf.cli as cli
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli._sweep_workers(None) == 1
+    assert cli._sweep_workers(3) == 3
+
+
+# ------------------------------------------------------------- BLAS threads
+
+
+def _blas_threads() -> int:
+    """numpy's bundled OpenBLAS thread count; skips under another BLAS."""
+    import ctypes
+    import os
+
+    from numpy._core import _multiarray_umath
+
+    lib = ctypes.CDLL(_multiarray_umath.__file__, mode=os.RTLD_NOLOAD)
+    try:
+        return lib.scipy_openblas_get_num_threads64_()
+    except AttributeError:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+
+
+def _nine_cell_sweep(speech_wav):
+    return run_sweep(speech_wav, seeds=[0], duration_s=2.0, snrs=(-10.0,), workers=1)
+
+
+def test_sweep_cells_run_on_one_blas_thread_and_restore_it(speech_wav, monkeypatch):
+    import egomwf.cli as cli
+
+    before = _blas_threads()
+    real = cli.run_cell
+    seen = []
+
+    def counted(*args):
+        seen.append(_blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_cell", counted)
+    monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
+    rows = _nine_cell_sweep(speech_wav)
+    assert all(r["status"] == "ok" for r in rows)
+    assert seen == [1] * 9
+    assert _blas_threads() == before
+
+    def broken(*args):
+        raise RuntimeError("not a processing error")
+
+    monkeypatch.setattr(cli, "run_cell", broken)
+    with pytest.raises(RuntimeError):
+        _nine_cell_sweep(speech_wav)
+    assert _blas_threads() == before
+
+
+def test_sweep_without_blas_pin_runs_one_lane_with_same_rows(speech_wav, monkeypatch):
+    import threading
+
+    import egomwf.cli as cli
+
+    monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
+    pinned = _nine_cell_sweep(speech_wav)
+    real = cli.run_cell
+    threads = set()
+
+    def recorded(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    def no_library(*args, **kwargs):
+        raise OSError("no such library")
+
+    monkeypatch.setattr(cli, "run_cell", recorded)
+    monkeypatch.setattr(cli, "CDLL", no_library)
+    unpinned = _nine_cell_sweep(speech_wav)
+    assert json.dumps(unpinned, sort_keys=True) == json.dumps(pinned, sort_keys=True)
+    assert len(threads) == 1
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_sweep_mask_error_fails_exactly_its_mode(speech_wav, monkeypatch, lanes):
+    import egomwf.cli as cli
+    import egomwf.pipeline
+    from egomwf.pipeline import PipelineError
+
+    def no_oracle(*args, **kwargs):
+        raise PipelineError("oracle mask unavailable")
+
+    monkeypatch.setattr(egomwf.pipeline, "make_oracle_mask", no_oracle)
+    rows = cli._run_scene_group(_short_scene_cfg(speech_wav), lanes)
+    assert len(rows) == 27
+    failed = [r for r in rows if r["spp_mode"] == "oracle"]
+    assert len(failed) == 9
+    assert all(r["status"] == "failed: oracle mask unavailable" for r in failed)
+    assert all(r["status"] == "ok" for r in rows if r["spp_mode"] != "oracle")
+
+
 # ------------------------------------------------------- shared scene work
 
 _SCORE_KEYS = ("snr_in_db", "snr_out_db", "snr_improvement_db",
@@ -880,6 +980,36 @@ def test_scene_group_rows_match_per_cell_path(speech_wav):
         assert {k: row[k] for k in key} == key
         for name in _SCORE_KEYS:
             assert abs(row[name] - getattr(report, name)) <= 1e-12, (key, name)
+
+
+def test_scene_group_builds_shared_work_once_on_many_lanes(speech_wav, monkeypatch):
+    """More lanes than cores, switching threads often: each covariance and
+    the input scores are still built once, and the rows do not change."""
+    import sys
+
+    import egomwf.cli as cli
+    import egomwf.pipeline
+
+    calls = []
+    for module, name in ((egomwf.pipeline, "estimate_correlations"), (cli, "score_input")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    scene_cfg = _short_scene_cfg(speech_wav)
+    serial = cli._run_scene_group(scene_cfg, 1)
+    calls.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = cli._run_scene_group(scene_cfg, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert crowded == serial
+    assert sorted(calls) == ["estimate_correlations"] * len(SPP_MODES) + ["score_input"]
 
 
 def test_scene_group_stft_count_does_not_grow_with_cells(speech_wav, monkeypatch):

@@ -164,12 +164,18 @@ def test_oracle_mask_zero_speech_frames(default_scene):
     assert np.all(mask.beta[:, silent_frames] == 0)
 
 
-def test_scene_determinism(speech_wav):
+def test_scene_determinism(speech_wav, monkeypatch):
+    """Bit-identical images on repeated renders and on one core or all."""
+    import os
+
     cfg = SceneConfig(speech_path=speech_wav, target_snr_db=0.0, seed=4, duration_s=2.0)
     a = render_scene(cfg)
     b = render_scene(cfg)
-    assert np.array_equal(a.mixture.samples, b.mixture.samples)
-    assert np.array_equal(a.noise_image.samples, b.noise_image.samples)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_core = render_scene(cfg)
+    for other in (b, one_core):
+        for name in ("mixture", "speech_image", "noise_image"):
+            assert getattr(a, name).samples.tobytes() == getattr(other, name).samples.tobytes()
 
 
 def test_noise_scaling_between_targets(speech_wav):
