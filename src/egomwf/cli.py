@@ -18,10 +18,10 @@ on its own, for its mask), one mask per SPP mode, one covariance per
 mask over those 16 channels (a cell's statistics are its principal
 sub-block on the cell's own channels) and the input SNR/STOI. Each cell
 then filters and scores through the same pipeline and metrics code as
-enhance and evaluate. A scene holds BLAS at one thread and runs its
-cells on one thread per core of its share (all cores in-process,
-cores // workers in a pool worker), or on one thread where that pin
-does not take.
+enhance and evaluate. A scene holds BLAS at one thread; in-process
+its cells then run on one thread per usable core, the calling thread
+among them. A pool worker, or a scene whose pin does not take, runs its
+cells on its own thread alone.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from ctypes import CDLL, c_int
 from dataclasses import asdict, replace
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,9 @@ from .scenegen import (
     SceneError,
     SceneOutput,
     render_scene,
+    spread,
     suite_partition,
+    usable_cores,
     write_scene,
 )
 from .spp import SPP_MODES
@@ -249,7 +251,7 @@ def _one_blas_thread():
 
 def _run_scene_group(scene_cfg: SceneConfig, lanes: int = 1) -> list[dict]:
     """Render one scene and run every array size x SPP mode x method on it,
-    on `lanes` threads; rows come back in product order."""
+    on `lanes` threads counting the caller; rows come back in product order."""
     with _one_blas_thread() as pinned:
         shared = SharedScene(render_scene(scene_cfg))
 
@@ -270,8 +272,8 @@ def _run_scene_group(scene_cfg: SceneConfig, lanes: int = 1) -> list[dict]:
                 row["status"] = f"failed: {exc}"
             return row
 
-        with ThreadPoolExecutor(lanes if pinned else 1) as lane_pool:
-            return list(lane_pool.map(run, product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS)))
+        cells = list(product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
+        return spread(run, cells, lanes if pinned else 1)
 
 
 CSV_COLUMNS = [
@@ -287,7 +289,7 @@ def _sweep_workers(workers: int | None) -> int:
     Raises ValueError on a count below 1.
     """
     if workers is None:
-        return min(4, len(os.sched_getaffinity(0)))
+        return min(4, usable_cores())
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers
@@ -307,12 +309,11 @@ def run_sweep(
         for snr in snrs
     ]
     workers = _sweep_workers(workers)
-    cores = len(os.sched_getaffinity(0))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_run_scene_group, tasks, repeat(max(1, cores // workers))))
+            grouped = list(pool.map(_run_scene_group, tasks))
     else:
-        grouped = [_run_scene_group(t, cores) for t in tasks]
+        grouped = [_run_scene_group(t, usable_cores()) for t in tasks]
     rows = [row for group in grouped for row in group]
     rows.sort(key=lambda r: (r["seed"], r["snr_db"], r["m_speech_noise"], r["spp_mode"], r["method"]))
     return rows

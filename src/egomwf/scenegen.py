@@ -56,6 +56,35 @@ del _angles, _rotor_angles, _positions
 N_EMBEDDED = N_ARRAY_MICS + N_ROTORS
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def spread(fn, items, threads: int) -> list:
+    """[fn(x) for x in items] on the calling thread and up to threads - 1
+    others. An error leaves the items not yet started undone, then propagates."""
+    todo, out = iter(range(len(items))), [None] * len(items)
+
+    def drain() -> None:
+        try:
+            for k in todo:
+                out[k] = fn(items[k])
+        finally:  # after an error, leave the other threads nothing to start
+            for _ in todo:
+                pass
+
+    n_helpers = min(threads, len(items)) - 1
+    with ThreadPoolExecutor(max(1, n_helpers)) as pool:
+        helpers = [pool.submit(drain) for _ in range(n_helpers)]
+        drain()
+    for helper in helpers:
+        helper.result()
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SceneConfig:
     speech_path: str
@@ -222,8 +251,8 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     Channel layout: 12 main-array channels, then 4 propeller channels,
     then the external microphone (channel N_EMBEDDED). The
     noise image is scaled so the reference channel (0) meets the target
-    SNR exactly; the external channel sits 15 dB above that. The
-    images do not depend on the number of threads that render them.
+    SNR exactly; the external channel sits 15 dB above that. Mic rows
+    render on usable_cores() threads; the images do not depend on that.
     """
     fs = cfg.sample_rate_hz
     speech = _load_speech(cfg)
@@ -279,9 +308,8 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
         phases = np.exp(2j * np.pi * np.random.Generator(stream).uniform(size=spec.size))
         row += floor_gain * np.fft.irfft(np.abs(spec) * phases, n)
 
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), n_mics)) as pool:
-        rotors = list(pool.map(rotor, range(N_ROTORS)))
-        list(pool.map(mic_rows, range(n_mics)))
+    rotors = spread(rotor, range(N_ROTORS), usable_cores())
+    spread(mic_rows, range(n_mics), usable_cores())
 
     # calibrate the embedded noise to the target SNR at the reference channel
     ref_speech_power = np.mean(speech_image[0] ** 2)

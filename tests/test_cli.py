@@ -919,7 +919,7 @@ def test_sweep_without_blas_pin_runs_one_lane_with_same_rows(speech_wav, monkeyp
     monkeypatch.setattr(cli, "CDLL", no_library)
     unpinned = _nine_cell_sweep(speech_wav)
     assert json.dumps(unpinned, sort_keys=True) == json.dumps(pinned, sort_keys=True)
-    assert len(threads) == 1
+    assert threads == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
@@ -938,6 +938,30 @@ def test_sweep_mask_error_fails_exactly_its_mode(speech_wav, monkeypatch, lanes)
     assert len(failed) == 9
     assert all(r["status"] == "failed: oracle mask unavailable" for r in failed)
     assert all(r["status"] == "ok" for r in rows if r["spp_mode"] != "oracle")
+
+
+def test_scene_group_error_stops_cells_not_started(speech_wav, monkeypatch):
+    """A cell raising a non-processing error ends the scene group: the
+    cells not yet started never run, on one lane or two."""
+    import time
+
+    import egomwf.cli as cli
+
+    for lanes in (1, 2):
+        started = []
+
+        def first_cell_breaks(shared, partition, spp_mode, method):
+            cell = (partition.n_speech_noise, spp_mode, method)
+            started.append(cell)
+            if cell == (4, SPP_MODES[0], METHODS[0]):  # the first cell in product order
+                raise RuntimeError("not a processing error")
+            time.sleep(0.05)
+            return {}
+
+        monkeypatch.setattr(cli, "run_cell", first_cell_breaks)
+        with pytest.raises(RuntimeError, match="not a processing error"):
+            cli._run_scene_group(_short_scene_cfg(speech_wav), lanes)
+        assert len(started) <= lanes
 
 
 # ------------------------------------------------------- shared scene work

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from egomwf.scenegen import (
     fractional_delay,
     make_oracle_mask,
     render_scene,
+    spread,
     steering_delay_gain,
     suite_partition,
     synth_ego_noise,
+    usable_cores,
     write_scene,
 )
 
@@ -176,6 +179,53 @@ def test_scene_determinism(speech_wav, monkeypatch):
     for other in (b, one_core):
         for name in ("mixture", "speech_image", "noise_image"):
             assert getattr(a, name).samples.tobytes() == getattr(other, name).samples.tobytes()
+
+
+def test_usable_cores_follows_affinity_mask_or_cpu_count(monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+    assert usable_cores() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cores() == 1
+
+
+def test_spread_keeps_item_order_and_calling_thread():
+    import threading
+
+    def square_after_a_pause(k):
+        time.sleep(0.001 * (k % 3))
+        return k * k
+
+    assert spread(square_after_a_pause, range(20), 3) == [k * k for k in range(20)]
+    assert spread(square_after_a_pause, [], 3) == []
+    # one thread: everything runs on the caller
+    assert spread(lambda k: threading.get_ident(), range(5), 1) == [threading.get_ident()] * 5
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("on_calling_thread", [True, False])
+def test_spread_error_stops_items_not_started(error, on_calling_thread):
+    """An error (or Ctrl-C) on either thread leaves the items not yet
+    started undone and reaches the caller once the other thread is done."""
+    import threading
+
+    caller = threading.get_ident()
+    started = []
+
+    def work(k):
+        started.append(k)
+        if (threading.get_ident() == caller) == on_calling_thread:
+            raise error("stop")
+        time.sleep(0.05)
+        return k
+
+    with pytest.raises(error):
+        spread(work, range(27), 2)
+    assert 1 <= len(started) <= 3
 
 
 def test_noise_scaling_between_targets(speech_wav):
