@@ -10,13 +10,13 @@ one scene per seed and SNR, in --workers processes (by default
 min(4, cores in the affinity mask)), and on each scene every array size
 x SPP mode x method.
 
-The sweep renders each scene once, and its cells share what does not
-depend on method or array size, each part computed by the first cell
-that needs it: the STFT grids of the mixture, speech and noise images on
-the 16 array and propeller channels (the external microphone is analysed
-on its own, for its mask), one mask per SPP mode, one covariance per
-mask over those 16 channels (a cell's statistics are its principal
-sub-block on the cell's own channels) and the input SNR/STOI. Each cell
+The sweep renders each scene once and, before its cells start, builds
+what they share (SharedScene): the STFT grids of the mixture, speech and
+noise images on the 16 array and propeller channels (the external
+microphone is analysed on its own, for its mask), one mask per SPP mode,
+one covariance per mask over those 16 channels (a cell's statistics are
+its principal sub-block on the cell's own channels) and the input
+SNR/STOI. A mask that fails fails exactly its mode's cells. Each cell
 then filters and scores through the same pipeline and metrics code as
 enhance and evaluate. A scene holds BLAS at one thread; in-process
 its cells then run on one thread per usable core, the calling thread
@@ -32,9 +32,7 @@ import json
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from ctypes import CDLL, c_int
 from dataclasses import asdict, replace
@@ -47,7 +45,7 @@ from .audio_io import AudioClip, AudioError, read_wav, write_wav
 from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition
-from .metrics import InputScores, score_input, score_output
+from .metrics import score_input, score_output
 from .pipeline import EnhanceResult, InputAnalysis, PipelineError, enhance
 from .scenegen import (
     DEFAULT_ARRAY_SIZES,
@@ -57,6 +55,7 @@ from .scenegen import (
     SceneOutput,
     render_scene,
     spread,
+    spread_processes,
     suite_partition,
     usable_cores,
     write_scene,
@@ -115,7 +114,9 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     }
     cfg = load_config(args.config, overrides)
     clip = _load_multichannel(args.input, args.external)
-    if cfg.spp_mode == "external" and cfg.spp_channel is None and args.external is not None:
+    if cfg.spp_mode == "external" and cfg.spp_channel is None:
+        if args.external is None:
+            return _fail_config("external SPP mode needs --external or --spp-channel")
         cfg = replace(cfg, spp_channel=clip.n_channels - 1)
     if cfg.spp_mode == "oracle" and not args.speech_ref:
         return _fail_config("oracle SPP mode needs --speech-ref and --noise-ref")
@@ -183,43 +184,43 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class SharedScene:
-    """A rendered scene and the work its sweep cells share."""
+def _cell_config(ext: int, partition: ChannelPartition, spp_mode: str, method: str) -> EnhanceConfig:
+    """The enhance config of one sweep cell; ext is the external channel."""
+    return EnhanceConfig(
+        partition=partition,
+        spp_mode=spp_mode,
+        spp_channel=ext if spp_mode == "external" else None,
+        method=method,
+    )
 
-    def __init__(self, scene: SceneOutput):
+
+class SharedScene:
+    """A rendered scene and the work its sweep cells share, all built on
+    construction: the mixture analysis for every cell and the input scores."""
+
+    def __init__(self, scene: SceneOutput, cells: list[tuple]):
         self.scene = scene
         channels = scene.manifest["channels"]
+        configs = [
+            _cell_config(channels["external"], suite_partition(m), spp_mode, method)
+            for m, spp_mode, method in cells
+        ]
         self.analysis = InputAnalysis(
             scene.mixture,
             StftParams(),
             scene.speech_image,
             scene.noise_image,
             channels["array"] + channels["propeller"],
+            configs,
         )
-        self._lock = threading.Lock()
-        self._inputs: InputScores | None = None
-
-    @property
-    def inputs(self) -> InputScores:
-        """Computed once, by the first cell that reads it."""
-        with self._lock:
-            if self._inputs is None:
-                ref = self.scene.manifest["reference_channel"]
-                speech, mixture = self.scene.speech_image, self.scene.mixture
-                self._inputs = score_input(speech.channel(ref), mixture.channel(ref))
-        return self._inputs
+        ref = scene.manifest["reference_channel"]
+        self.inputs = score_input(scene.speech_image.channel(ref), scene.mixture.channel(ref))
 
 
 def run_cell(shared: SharedScene, partition: ChannelPartition, spp_mode: str, method: str) -> dict:
     """One sweep cell on its scene's shared work; returns its scores."""
     ext = shared.scene.manifest["channels"]["external"]
-    cfg = EnhanceConfig(
-        partition=partition,
-        spp_mode=spp_mode,
-        spp_channel=ext if spp_mode == "external" else None,
-        method=method,
-    )
-    result = shared.analysis.enhance(cfg)
+    result = shared.analysis.enhance(_cell_config(ext, partition, spp_mode, method))
     scores = asdict(
         score_output(shared.inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
     )
@@ -252,8 +253,9 @@ def _one_blas_thread():
 def _run_scene_group(scene_cfg: SceneConfig, lanes: int = 1) -> list[dict]:
     """Render one scene and run every array size x SPP mode x method on it,
     on `lanes` threads counting the caller; rows come back in product order."""
+    cells = list(product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
     with _one_blas_thread() as pinned:
-        shared = SharedScene(render_scene(scene_cfg))
+        shared = SharedScene(render_scene(scene_cfg), cells)
 
         def run(cell: tuple) -> dict:
             m_speech_noise, spp_mode, method = cell
@@ -272,7 +274,6 @@ def _run_scene_group(scene_cfg: SceneConfig, lanes: int = 1) -> list[dict]:
                 row["status"] = f"failed: {exc}"
             return row
 
-        cells = list(product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
         return spread(run, cells, lanes if pinned else 1)
 
 
@@ -310,8 +311,7 @@ def run_sweep(
     ]
     workers = _sweep_workers(workers)
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_run_scene_group, tasks))
+        grouped = spread_processes(_run_scene_group, tasks, workers)
     else:
         grouped = [_run_scene_group(t, usable_cores()) for t in tasks]
     rows = [row for group in grouped for row in group]

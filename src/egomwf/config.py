@@ -87,12 +87,16 @@ def _parse_section(raw: dict, key: str, builder, errors: list[str], default):
         return default() if callable(default) else default
 
 
-def _build_stft(section: dict) -> StftParams:
-    allowed = {"fft_size", "hop", "sample_rate_hz"}
+def _known_keys(section: dict, allowed: set[str]) -> dict:
+    """section itself; raises TypeError naming any key outside allowed."""
     unknown = set(section) - allowed
     if unknown:
         raise TypeError(f"unknown keys {sorted(unknown)}")
-    return StftParams(**section)
+    return section
+
+
+def _build_stft(section: dict) -> StftParams:
+    return StftParams(**_known_keys(section, {"fft_size", "hop", "sample_rate_hz"}))
 
 
 def _build_spp(section: dict) -> SppParams:
@@ -100,17 +104,11 @@ def _build_spp(section: dict) -> SppParams:
     if "xi_h1_db" in section:
         section["xi_h1"] = 10.0 ** (float(section.pop("xi_h1_db")) / 10.0)
     allowed = {"xi_h1", "alpha_psd", "spp_cap", "init_frames", "threshold"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise TypeError(f"unknown keys {sorted(unknown)}")
-    return SppParams(**section)
+    return SppParams(**_known_keys(section, allowed))
 
 
 def _build_partition(section: dict) -> ChannelPartition:
-    allowed = {"speech_noise_channels", "noise_only_channels", "ref_channel"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise TypeError(f"unknown keys {sorted(unknown)}")
+    _known_keys(section, {"speech_noise_channels", "noise_only_channels", "ref_channel"})
     return ChannelPartition(
         speech_noise_channels=tuple(section.get("speech_noise_channels", ())),
         noise_only_channels=tuple(section.get("noise_only_channels", ())),

@@ -8,37 +8,27 @@ output-SNR bookkeeping by linearity.
 
 Everything before the filter depends on the input and the mask source,
 not on method or array size, so an InputAnalysis serves many runs on one
-input: enhance() is one used once, the sweep keeps one per scene. The
-STFT covers only the channels the covariance is estimated over (for
+input, built up front for the configs it will serve: enhance() is one
+built for a single config, the sweep keeps one per scene for its cells.
+The STFT covers only the channels the covariance is estimated over (for
 enhance(), the filter channels); a mask channel outside them is analysed
-on its own.
-
-When shadow filtering will run, the speech and noise images are analysed
-on a worker thread of the InputAnalysis itself, started as soon as the
-mixture grid is built: mask, covariance, filter and the output synthesis
-read only the mixture grid, so the two component analyses overlap them
-and are joined just before the shadow apply. The worker calls
-stft.analyze through the stft module rather than this module's analyze
-binding, which the benchmark's single-threaded tracer wraps.
+on its own. When shadow filtering runs, the speech and noise images are
+analysed on a second thread while the mixture is analysed and masked.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from . import stft
 from .audio_io import AudioClip, resample
 from .config import EnhanceConfig
 from .covariance import BinStatistics, estimate_correlations
 from .errors import EgomwfError
 from .filters import FilterBank, build_filterbank, filter_partition
-from .scenegen import make_oracle_mask
+from .scenegen import make_oracle_mask, spread
 from .spp import SppMask, SppParams, estimate_spp
 from .stft import StftGrid, StftParams, analyze, synthesize
 
@@ -99,25 +89,25 @@ def _channel_of(clip: AudioClip, channel: int) -> AudioClip:
 
 class InputAnalysis:
     """One multichannel input (plus optional ground-truth components, as
-    for enhance) analysed once for any number of enhance runs.
+    for enhance) analysed once for the enhance runs of `configs`.
 
     Only `channels` are analysed: column j of the mixture grid and of
     both component grids holds physical channel channels[j]. Correlations
     are estimated over those columns; each run takes the principal
     sub-block on its own filter channels, which must lie there. A mask
-    channel outside `channels` (an external microphone, say) gets a
-    single-channel analysis of its own. The grids, the mask of each mask
-    source and the correlations under each mask are computed on first
-    use and kept while the object lives.
+    channel outside `channels` (an external microphone, say) gets one
+    single-channel analysis of its own.
 
-    Reference clips must have the mixture's sample count. When both
-    carry every analysed channel, runs also shadow-filter them, and the
-    two component grids are analysed on a one-thread executor owned by
-    this object, submitted when the mixture grid is built and joined by
-    component_grids, which re-raises a worker error as it was raised.
+    The constructor checks every config, then builds everything before it
+    returns, with scenegen.spread: on one thread the mixture grid, the
+    single-channel grids and the mask and correlations of each distinct
+    (mask source, SPP parameters) key; beside it the speech and noise
+    grids, when shadow filtering runs. A key whose build raises keeps the
+    error, and each run that needs the key raises it again. enhance only
+    reads what was built, so it may run on several threads at once.
 
-    enhance may run on several threads at once: the grids and each mask
-    and its correlations are built once, under the object's lock.
+    Reference clips must have the mixture's sample count. When both carry
+    every analysed channel, runs also shadow-filter them.
     """
 
     def __init__(
@@ -127,6 +117,7 @@ class InputAnalysis:
         speech_ref: AudioClip | None,
         noise_ref: AudioClip | None,
         channels: Sequence[int],
+        configs: Sequence[EnhanceConfig],
     ):
         self.params = params
         rate = params.sample_rate_hz
@@ -141,94 +132,35 @@ class InputAnalysis:
                     f"{name} reference has {ref.n_frames} samples but the input has "
                     f"{self.clip.n_frames}"
                 )
+        self._column = {c: j for j, c in enumerate(self.channels)}
+        keys = dict.fromkeys(self._check(cfg)[1] for cfg in configs)
+        singles = sorted({c for (mode, c), _ in keys if mode != "oracle" and c not in self._column})
+        self._estimates: dict[tuple, tuple[SppMask, BinStatistics] | Exception] = {}
         # shadow filtering needs the components at every analysed channel;
         # reference clips carrying fewer (e.g. mask-only single-channel
         # ground truth) simply skip it
-        self._shadows = all(ref is not None and ref.n_channels > max(self.channels) for ref in refs)
-        self._components: Future | None = None
-        self._column = {c: j for j, c in enumerate(self.channels)}
-        self._single: dict[int, StftGrid] = {}
-        self._estimates: dict = {}
-        self._lock = threading.Lock()
+        shadows = all(ref is not None and ref.n_channels > max(self.channels) for ref in refs)
+        self.component_grids: tuple[StftGrid, StftGrid] | None = None
 
-    @cached_property
-    def grid(self) -> StftGrid:
-        grid = analyze(self.clip, self.params, self.channels)
-        if self._shadows:
-            # one executor per object, none at module level: a forked child
-            # inherits a module-level executor's bookkeeping but not its
-            # thread, and work submitted there would never run
-            pool = ThreadPoolExecutor(max_workers=1)
-            self._components = pool.submit(self._analyze_components)
-            pool.shutdown(wait=False)
-        return grid
-
-    def _analyze_components(self) -> tuple[StftGrid, StftGrid]:
-        return (
-            stft.analyze(self.speech_ref, self.params, self.channels),
-            stft.analyze(self.noise_ref, self.params, self.channels),
-        )
-
-    @cached_property
-    def component_grids(self) -> tuple[StftGrid, StftGrid]:
-        """(speech, noise) grids; only when shadow filtering runs."""
-        if not self._shadows:
-            raise PipelineError("shadow filtering needs both references at every analysed channel")
-        self.grid  # starts the worker
-        return self._components.result()
-
-    def _spectrogram_grid(self, channel: int) -> tuple[StftGrid, int]:
-        """(grid, column) holding physical `channel` of the input."""
-        if channel in self._column:
-            return self.grid, self._column[channel]
-        if channel not in self._single:
-            self._single[channel] = analyze(self.clip, self.params, [channel])
-        return self._single[channel], 0
-
-    def _build_mask(self, source: tuple[str, int], spp: SppParams) -> SppMask:
-        mode, channel = source
-        if mode != "oracle":
-            grid, column = self._spectrogram_grid(channel)
-            return estimate_spp(grid.channel_slice(column), spp, source)
-        if self.speech_ref is None or self.noise_ref is None:
-            raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
-        mask = make_oracle_mask(
-            _channel_of(self.speech_ref, channel), _channel_of(self.noise_ref, channel), self.params
-        )
-        shape = self.grid.data.shape[:2]
-        if mask.beta.shape != shape:
-            raise PipelineError(f"oracle mask shape {mask.beta.shape} does not match grid {shape}")
-        return mask
-
-    def _mask_and_statistics(self, cfg: EnhanceConfig) -> tuple[SppMask, BinStatistics]:
-        source = _mask_source(cfg)
-        key = (source, cfg.spp)
-        if key not in self._estimates:
-            with self._lock:
-                if key not in self._estimates:
-                    mask = self._build_mask(source, cfg.spp)
-                    columns = range(len(self.channels))
+        def mixture() -> None:
+            self.grid = analyze(self.clip, params, self.channels)
+            single = {c: analyze(self.clip, params, [c]) for c in singles}
+            columns = range(len(self.channels))
+            for key in keys:
+                try:
+                    mask = self._build_mask(key, single)
                     self._estimates[key] = mask, estimate_correlations(self.grid, mask, columns)
-        return self._estimates[key]
+                except Exception as exc:  # raised again by every run that needs the key
+                    self._estimates[key] = exc
 
-    def _filtered(self, grid: StftGrid, fb: FilterBank) -> AudioClip:
-        d = apply_filterbank(grid, fb, [self._column[c] for c in fb.partition.ordered_channels])
-        return synthesize(StftGrid(d[:, :, np.newaxis], self.params, self.grid.n_samples))
+        def components() -> None:
+            self.component_grids = tuple(analyze(ref, params, self.channels) for ref in refs)
 
-    def enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
-        """The enhance() result for this input under cfg.
+        jobs = [mixture, components] if shadows else [mixture]
+        spread(lambda job: job(), jobs, len(jobs))
 
-        A run that fails waits for the component analyses before it
-        raises, so none of its work is still running afterwards.
-        """
-        try:
-            return self._enhance(cfg)
-        except BaseException:
-            if self._components is not None:
-                wait([self._components])
-            raise
-
-    def _enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
+    def _check(self, cfg: EnhanceConfig) -> tuple[tuple[int, ...], tuple[tuple, SppParams]]:
+        """cfg's filter channels and mask key; raises for a run this input cannot serve."""
         if cfg.stft != self.params:
             raise PipelineError(f"config STFT {cfg.stft} differs from the analysed {self.params}")
         order = filter_partition(cfg.partition, cfg.method).ordered_channels
@@ -245,15 +177,48 @@ class InputAnalysis:
         outside = sorted(set(order) - set(self.channels))
         if outside:
             raise PipelineError(f"channels {outside} are outside the analysed set {self.channels}")
+        return order, (_mask_source(cfg), cfg.spp)
 
-        mask, stats = self._mask_and_statistics(cfg)
+    def _build_mask(self, key: tuple[tuple, SppParams], single: dict[int, StftGrid]) -> SppMask:
+        source, spp = key
+        mode, channel = source
+        if mode != "oracle":
+            if channel in self._column:
+                spectrogram = self.grid.channel_slice(self._column[channel])
+            else:
+                spectrogram = single[channel].channel_slice(0)
+            return estimate_spp(spectrogram, spp, source)
+        if self.speech_ref is None or self.noise_ref is None:
+            raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
+        mask = make_oracle_mask(
+            _channel_of(self.speech_ref, channel), _channel_of(self.noise_ref, channel), self.params
+        )
+        shape = self.grid.data.shape[:2]
+        if mask.beta.shape != shape:
+            raise PipelineError(f"oracle mask shape {mask.beta.shape} does not match grid {shape}")
+        return mask
+
+    def _filtered(self, grid: StftGrid, fb: FilterBank) -> AudioClip:
+        d = apply_filterbank(grid, fb, [self._column[c] for c in fb.partition.ordered_channels])
+        return synthesize(StftGrid(d[:, :, np.newaxis], self.params, self.grid.n_samples))
+
+    def enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
+        """The enhance() result for this input under cfg, one of the
+        constructor's configs or one with the same mask key."""
+        order, key = self._check(cfg)
+        if key not in self._estimates:
+            raise PipelineError(f"no mask was built for SPP source {key[0]} and {key[1]}")
+        estimate = self._estimates[key]
+        if isinstance(estimate, Exception):
+            raise estimate
+        mask, stats = estimate
         if order != self.channels:
             stats = stats.block([self._column[c] for c in order])
         fb = build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
         enhanced = self._filtered(self.grid, fb)
 
         shadow_speech = shadow_noise = None
-        if self._shadows:
+        if self.component_grids is not None:
             s_grid, n_grid = self.component_grids
             shadow_speech = self._filtered(s_grid, fb)
             shadow_noise = self._filtered(n_grid, fb)
@@ -279,4 +244,4 @@ def enhance(
     channel layout); they drive oracle masking and shadow filtering.
     """
     channels = filter_partition(cfg.partition, cfg.method).ordered_channels
-    return InputAnalysis(clip, cfg.stft, speech_ref, noise_ref, channels).enhance(cfg)
+    return InputAnalysis(clip, cfg.stft, speech_ref, noise_ref, channels, [cfg]).enhance(cfg)

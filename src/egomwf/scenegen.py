@@ -8,14 +8,15 @@ mics, and an EXTERNAL_MIC 0.2 m above the source. Every scene carries
 exact per-channel speech/noise components; make_oracle_mask turns the
 reference channel's components into an oracle activity mask.
 DEFAULT_SNRS_DB, DEFAULT_ARRAY_SIZES and suite_partition define the
-sweep's scenes and partitions.
+sweep's scenes and partitions; spread and spread_processes fan its work
+out over the package's threads and processes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,6 +84,12 @@ def spread(fn, items, threads: int) -> list:
     for helper in helpers:
         helper.result()
     return out
+
+
+def spread_processes(fn, items, workers: int) -> list:
+    """[fn(x) for x in items] on `workers` processes; fn and items must pickle."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True, eq=False)

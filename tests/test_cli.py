@@ -59,6 +59,8 @@ def test_parse_config_minimal():
         {"external_path": "ext.wav"},
         {"speech_ref_path": "s.wav", "noise_ref_path": "n.wav", "spp_mode": "oracle"},
         {"stft": {"window": "rect"}},
+        {"spp": {"bogus": 1}},
+        {"partition": {"speech_noise_channels": [0], "bogus": 1}},
     ],
 )
 def test_parse_config_rejects_paths_and_window(raw):
@@ -264,14 +266,19 @@ def test_cmd_enhance_singular_gsc_gram_exit_3(tmp_path, scene_dir, capsys):
 
 def test_cmd_enhance_component_worker_error_exit_3(tmp_path, scene_dir, config_file,
                                                    capsys, monkeypatch):
-    import egomwf.stft
+    import egomwf.pipeline
     from egomwf.stft import StftError
 
-    def failing(*args, **kwargs):
-        raise StftError("component analysis failed")
+    real = egomwf.pipeline.analyze
+    mixture = read_wav(scene_dir / "mixture.wav")
 
-    # only the shadow components are analysed through stft.analyze
-    monkeypatch.setattr(egomwf.stft, "analyze", failing)
+    def failing(clip, *args, **kwargs):
+        # only the shadow components differ from the mixture
+        if not np.array_equal(clip.samples, mixture.samples):
+            raise StftError("component analysis failed")
+        return real(clip, *args, **kwargs)
+
+    monkeypatch.setattr(egomwf.pipeline, "analyze", failing)
     code = main(["enhance", "--input", str(scene_dir / "mixture.wav"),
                  "--output", str(tmp_path / "o.wav"), "--config", config_file,
                  "--speech-ref", str(scene_dir / "speech.wav"),
@@ -376,6 +383,21 @@ def test_cmd_enhance_oracle_without_refs_exit_2(tmp_path, scene_dir, config_file
     )
     assert code == 2
     _assert_one_line_error(capsys)
+
+
+def test_cmd_enhance_external_without_channel_exit_2(tmp_path, scene_dir, config_file, capsys):
+    code = main(
+        [
+            "enhance",
+            "--input", str(scene_dir / "mixture.wav"),
+            "--output", str(tmp_path / "o.wav"),
+            "--config", config_file,
+            "--spp-mode", "external",
+        ]
+    )
+    assert code == 2
+    assert "--external" in _assert_one_line_error(capsys)
+    assert not (tmp_path / "o.wav").exists()
 
 
 @pytest.mark.parametrize(
@@ -928,11 +950,16 @@ def test_sweep_mask_error_fails_exactly_its_mode(speech_wav, monkeypatch, lanes)
     import egomwf.pipeline
     from egomwf.pipeline import PipelineError
 
+    calls = []
+
     def no_oracle(*args, **kwargs):
+        calls.append(1)
         raise PipelineError("oracle mask unavailable")
 
     monkeypatch.setattr(egomwf.pipeline, "make_oracle_mask", no_oracle)
     rows = cli._run_scene_group(_short_scene_cfg(speech_wav), lanes)
+    # built once per scene, not retried by each of the mode's cells
+    assert len(calls) == 1
     assert len(rows) == 27
     failed = [r for r in rows if r["spp_mode"] == "oracle"]
     assert len(failed) == 9

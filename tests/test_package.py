@@ -117,3 +117,28 @@ def test_no_test_only_public_api():
             read |= _read_names(tree) | {s.rsplit(".", 1)[-1] for s in strings if isinstance(s, str)}
     unread = sorted(f"{defined[n]}:{n}" for n in set(defined) - read - TEST_REFERENCE_API)
     assert not unread, unread
+
+
+# modules that may start threads; every other module uses scenegen.spread
+THREAD_MODULES = {"scenegen.py"}
+
+
+def test_spread_is_the_only_way_to_start_threads():
+    """Only scenegen imports threading or concurrent.futures, and no package
+    module uses cached_property, so no lazy, locked state comes back."""
+    found = []
+    for path in sorted(Path(egomwf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            for module in modules:
+                top = module.split(".")[0]
+                if top in ("threading", "concurrent") and path.name not in THREAD_MODULES:
+                    found.append(f"{path.name}:{node.lineno} imports {module}")
+        if "cached_property" in _read_names(tree):
+            found.append(f"{path.name} uses cached_property")
+    assert not found, found

@@ -205,19 +205,25 @@ def test_apply_on_listed_channels_matches_selected_grid(rng):
 def test_shared_analysis_rejects_runs_it_cannot_serve(default_scene):
     from egomwf.pipeline import InputAnalysis
 
-    analysis = InputAnalysis(default_scene.mixture, StftParams(), None, None, range(8))
+    def analysis(*configs):
+        return InputAnalysis(default_scene.mixture, StftParams(), None, None, range(8), configs)
+
+    # a config it cannot serve is rejected on construction, before any analysis
     with pytest.raises(PipelineError):
-        analysis.enhance(EnhanceConfig(partition=suite_partition(4), method="pk-mwf"))
+        analysis(EnhanceConfig(partition=suite_partition(4), method="pk-mwf"))
     with pytest.raises(PipelineError):
-        analysis.enhance(
-            EnhanceConfig(partition=suite_partition(4), method="mwf", stft=StftParams(hop=128))
-        )
-    run = analysis.enhance(EnhanceConfig(partition=suite_partition(4), method="mwf"))
-    again = analysis.enhance(EnhanceConfig(partition=suite_partition(8), method="mwf"))
+        analysis(EnhanceConfig(partition=suite_partition(4), method="mwf", stft=StftParams(hop=128)))
+    cfgs = [EnhanceConfig(partition=suite_partition(m), method="mwf") for m in (4, 8)]
+    shared = analysis(*cfgs)
+    run = shared.enhance(cfgs[0])
+    again = shared.enhance(cfgs[1])
     assert run.mask is again.mask
-    assert analysis.grid.n_channels == 8
+    assert shared.grid.n_channels == 8
     with pytest.raises(PipelineError):
-        analysis.enhance(EnhanceConfig(partition=suite_partition(12), method="mwf"))
+        shared.enhance(EnhanceConfig(partition=suite_partition(12), method="mwf"))
+    # a mask source it was not built for
+    with pytest.raises(PipelineError, match="no mask was built"):
+        shared.enhance(replace(cfgs[0], spp_mode="external", spp_channel=16))
 
 
 def _counting_analyze(monkeypatch):
@@ -266,15 +272,16 @@ def test_external_spp_outside_filter_channels_matches_full_grid(default_scene, m
     expected = synthesize(StftGrid(d[:, :, None], grid.params, grid.n_samples))
 
     calls = _counting_analyze(monkeypatch)
-    analysis = InputAnalysis(default_scene.mixture, StftParams(), None, None, range(4))
+    # a second mask from channel 16 reuses its single-channel analysis
+    other = replace(cfg, spp=SppParams(threshold=0.6))
+    analysis = InputAnalysis(default_scene.mixture, StftParams(), None, None, range(4), [cfg, other])
     result = analysis.enhance(cfg)
     assert np.array_equal(result.mask.spp, mask.spp)
     assert np.array_equal(result.mask.beta, mask.beta)
     assert np.array_equal(result.filterbank.weights, fb.weights)
     assert np.array_equal(result.enhanced.samples, expected.samples)
     assert sorted(calls) == [1, 4]
-    # a second mask from channel 16 reuses its single-channel analysis
-    analysis.enhance(replace(cfg, spp=SppParams(threshold=0.6)))
+    analysis.enhance(other)
     assert sorted(calls) == [1, 4]
 
 
@@ -285,7 +292,9 @@ def test_component_grids_from_worker_match_inline_analysis(default_scene):
     part = ChannelPartition(tuple(range(12)), (12, 13, 14, 15), 0)
     cfg = EnhanceConfig(partition=part, spp_mode="oracle", method="pk-mwf")
     scene = default_scene
-    analysis = InputAnalysis(scene.mixture, cfg.stft, scene.speech_image, scene.noise_image, range(16))
+    analysis = InputAnalysis(
+        scene.mixture, cfg.stft, scene.speech_image, scene.noise_image, range(16), [cfg]
+    )
     result = analysis.enhance(cfg)
     order = list(part.ordered_channels)
     for worker_grid, ref, shadow in (
@@ -300,17 +309,32 @@ def test_component_grids_from_worker_match_inline_analysis(default_scene):
 
 
 def test_worker_error_surfaces_from_enhance_with_its_type(default_scene, monkeypatch):
-    import egomwf.stft
+    import egomwf.pipeline
     from egomwf.stft import StftError
 
-    def failing(*args, **kwargs):
-        raise StftError("component analysis failed")
+    real = egomwf.pipeline.analyze
+    components = (default_scene.speech_image, default_scene.noise_image)
 
-    # the worker calls stft.analyze; the mixture goes through pipeline.analyze
-    monkeypatch.setattr(egomwf.stft, "analyze", failing)
+    def failing(clip, *args, **kwargs):
+        if any(clip is c for c in components):
+            raise StftError("component analysis failed")
+        return real(clip, *args, **kwargs)
+
+    monkeypatch.setattr(egomwf.pipeline, "analyze", failing)
     cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="internal", method="pk-mwf")
     with pytest.raises(StftError, match="component analysis failed"):
         enhance(default_scene.mixture, cfg, default_scene.speech_image, default_scene.noise_image)
+
+
+def test_shadow_enhance_leaves_no_thread_running(default_scene):
+    import threading
+
+    scene = default_scene
+    cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="oracle", method="pk-mwf")
+    before = threading.enumerate()
+    result = enhance(scene.mixture, cfg, scene.speech_image, scene.noise_image)
+    assert result.shadow_speech is not None and result.shadow_noise is not None
+    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("which", ["speech", "noise", "both_mask_only"])
@@ -330,7 +354,7 @@ def test_reference_length_must_match_the_input(which):
         enhance(mixture, cfg, refs["speech"], refs["noise"])
     # rejected on construction, before any analysis or worker starts
     with pytest.raises(PipelineError):
-        InputAnalysis(mixture, cfg.stft, refs["speech"], refs["noise"], range(8))
+        InputAnalysis(mixture, cfg.stft, refs["speech"], refs["noise"], range(8), [cfg])
 
 
 def test_reference_length_is_checked_after_resampling(default_scene):
