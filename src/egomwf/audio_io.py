@@ -53,10 +53,6 @@ class AudioClip:
     def n_frames(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames / self.sample_rate_hz
-
     def channel(self, index: int) -> "AudioClip":
         """Single-channel view as a new clip."""
         if not 0 <= index < self.n_channels:

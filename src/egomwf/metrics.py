@@ -75,20 +75,13 @@ def snr_db(speech: AudioClip, noise: AudioClip) -> float:
     return float(np.clip(10.0 * np.log10(p_s / p_n), -SNR_CAP_DB, SNR_CAP_DB))
 
 
-def _stoi_frames(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    return frame_view(x, _STOI_FRAME, _STOI_HOP) * window
+def _stoi_frames(x: np.ndarray) -> np.ndarray:
+    return frame_view(x, _STOI_FRAME, _STOI_HOP) * np.hanning(_STOI_FRAME + 2)[1:-1]
 
 
-def _remove_silent_frames(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop frames of x more than 40 dB below its loudest frame; rebuild both
-    signals by overlap-adding the frames that remain."""
-    window = np.hanning(_STOI_FRAME + 2)[1:-1]
-    xf = _stoi_frames(x, window)
-    yf = _stoi_frames(y, window)
-    energies = 20.0 * np.log10(np.linalg.norm(xf, axis=1) + _EPS)
-    keep = energies > np.max(energies) - _STOI_DYN_RANGE_DB
-    xs, ys = overlap_add(np.stack([xf[keep], yf[keep]]), _STOI_HOP)
-    return xs, ys
+def _kept(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """y rebuilt by overlap-adding its frames where keep is set."""
+    return overlap_add(_stoi_frames(y)[keep], _STOI_HOP)
 
 
 def _third_octave_matrix() -> np.ndarray:
@@ -100,72 +93,80 @@ def _third_octave_matrix() -> np.ndarray:
 
 
 def _band_envelopes(x: np.ndarray, obm: np.ndarray) -> np.ndarray:
-    window = np.hanning(_STOI_FRAME + 2)[1:-1]
-    frames = _stoi_frames(x, window)
-    spec = np.fft.rfft(frames, n=_STOI_FFT, axis=1)  # (frames, bins)
+    spec = np.fft.rfft(_stoi_frames(x), n=_STOI_FFT, axis=1)  # (frames, bins)
     power = np.abs(spec) ** 2
     return np.sqrt(power @ obm.T).T  # (bands, frames)
 
 
-def at_stoi_rate(clip: AudioClip) -> AudioClip:
-    """A single-channel clip resampled to the 10 kHz STOI rate.
+def _at_stoi_rate(clip: AudioClip) -> np.ndarray:
+    """The samples of a single-channel clip at the 10 kHz STOI rate."""
+    return resample(clip, _STOI_RATE).samples[0]
 
-    A clip already at 10 kHz comes back as it is, so stoi on clips made
-    here does no resampling of its own.
-    """
-    _mono(clip, "signal")
-    if clip.sample_rate_hz == _STOI_RATE:
-        return clip
-    return resample(clip, _STOI_RATE)
+
+@dataclass(frozen=True, eq=False)
+class _StoiReference:
+    """The clean side of STOI on one 10 kHz signal, shared by every
+    processed signal scored against it."""
+
+    keep: np.ndarray  # frames within 40 dB of the loudest
+    ceiling: np.ndarray  # the clipping bound of every (bands, segments, 30) envelope
+    energy: np.ndarray  # sum of squares of each segment
+    centred: np.ndarray  # segments less their means
+    norms: np.ndarray  # norm of each centred segment
+
+
+def _stoi_reference(x: np.ndarray) -> _StoiReference:
+    if not np.any(x != 0):
+        raise MetricsError("clean signal is all zeros")
+    if x.size < _STOI_FRAME:
+        raise MetricsError("input shorter than one analysis frame")
+    frames = _stoi_frames(x)
+    energies = 20.0 * np.log10(np.linalg.norm(frames, axis=1) + _EPS)
+    keep = energies > np.max(energies) - _STOI_DYN_RANGE_DB
+    xb = _band_envelopes(overlap_add(frames[keep], _STOI_HOP), _third_octave_matrix())
+    if xb.shape[1] < _STOI_SEG:
+        raise MetricsError(
+            f"only {xb.shape[1]} non-silent frames; need {_STOI_SEG} (~384 ms of speech)"
+        )
+    xs = frame_view(xb, _STOI_SEG, 1)  # every 30-frame segment at once
+    ceiling = (1.0 + 10.0 ** (-_STOI_BETA_DB / 20.0)) * xs
+    xc = xs - np.mean(xs, axis=2, keepdims=True)
+    return _StoiReference(keep, ceiling, np.sum(xs**2, axis=2), xc, np.linalg.norm(xc, axis=2))
+
+
+def _stoi_score(ref: _StoiReference, y: np.ndarray) -> float:
+    """STOI of the 10 kHz signal y against ref's clean signal."""
+    ys = frame_view(_band_envelopes(_kept(y, ref.keep), _third_octave_matrix()), _STOI_SEG, 1)
+    alpha = np.sqrt(ref.energy / (np.sum(ys**2, axis=2) + _EPS))
+    ys_clip = np.minimum(alpha[:, :, None] * ys, ref.ceiling)
+    yc = ys_clip - np.mean(ys_clip, axis=2, keepdims=True)
+    num = np.sum(ref.centred * yc, axis=2)
+    den = ref.norms * np.linalg.norm(yc, axis=2) + _EPS
+    return float(np.mean(num / den))
 
 
 def stoi(clean: AudioClip, processed: AudioClip) -> float:
     """Short-time objective intelligibility of `processed` given `clean`.
 
-    Both clips must share one rate; they are resampled to 10 kHz by
-    at_stoi_rate before scoring. Callers scoring several clips against
-    one clean reference resample it once with at_stoi_rate and pass the
-    10 kHz clips.
+    Both clips must share one rate; they are resampled to 10 kHz before
+    scoring. score_input builds the clean side once for every output
+    scored against one reference.
     """
     x = _mono(clean, "clean signal")
     y = _mono(processed, "processed signal")
     if x.size != y.size:
         raise MetricsError(f"length mismatch: clean {x.size} vs processed {y.size}")
     _same_rate(clean.sample_rate_hz, processed.sample_rate_hz, "clean", "processed")
-    x = at_stoi_rate(clean).samples[0]
-    y = at_stoi_rate(processed).samples[0]
-    if not np.any(x != 0):
-        raise MetricsError("clean signal is all zeros")
-    if x.size < _STOI_FRAME:
-        raise MetricsError("input shorter than one analysis frame")
-    x, y = _remove_silent_frames(x, y)
-    obm = _third_octave_matrix()
-    xb = _band_envelopes(x, obm)
-    yb = _band_envelopes(y, obm)
-    n_frames = xb.shape[1]
-    if n_frames < _STOI_SEG:
-        raise MetricsError(
-            f"only {n_frames} non-silent frames; need {_STOI_SEG} (~384 ms of speech)"
-        )
-    clip_gain = 10.0 ** (-_STOI_BETA_DB / 20.0)
-    # every 30-frame segment at once: (bands, segments, 30)
-    xs = frame_view(xb, _STOI_SEG, 1)
-    ys = frame_view(yb, _STOI_SEG, 1)
-    alpha = np.sqrt(np.sum(xs**2, axis=2) / (np.sum(ys**2, axis=2) + _EPS))
-    ys_clip = np.minimum(alpha[:, :, None] * ys, (1.0 + clip_gain) * xs)
-    xc = xs - np.mean(xs, axis=2, keepdims=True)
-    yc = ys_clip - np.mean(ys_clip, axis=2, keepdims=True)
-    num = np.sum(xc * yc, axis=2)
-    den = np.linalg.norm(xc, axis=2) * np.linalg.norm(yc, axis=2) + _EPS
-    return float(np.mean(num / den))
+    ref = _stoi_reference(_at_stoi_rate(clean))
+    return _stoi_score(ref, _at_stoi_rate(processed))
 
 
 def evaluate(result: EnhanceResult, clean_ref: AudioClip, noisy_ref: AudioClip) -> MetricsReport:
     """Input/output SNR (via shadow components) and STOI for one run.
 
     score_input on the references, then score_output on the run's
-    enhanced output and shadow components (the clean reference is
-    resampled to the STOI rate once for both).
+    enhanced output and shadow components (the clean side of STOI is
+    built once for both).
     """
     inputs = score_input(clean_ref, noisy_ref)
     return score_output(inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
@@ -176,11 +177,11 @@ class InputScores:
     """What score_input measures on a clean/noisy reference pair alone.
 
     Every run scored against the same pair shares it: clean is the clean
-    reference at the STOI rate, rate_hz the rate the references (and the
-    runs' outputs) are taken at.
+    side of STOI, rate_hz the rate the references (and the runs' outputs)
+    are taken at.
     """
 
-    clean: AudioClip
+    clean: _StoiReference
     rate_hz: int
     n_samples: int
     snr_in_db: float
@@ -198,13 +199,13 @@ def score_input(clean_ref: AudioClip, noisy_ref: AudioClip) -> InputScores:
         raise MetricsError("clean/noisy reference length mismatch")
     _same_rate(clean_ref.sample_rate_hz, noisy_ref.sample_rate_hz, "clean", "noisy")
     rate = clean_ref.sample_rate_hz
-    clean_stoi = at_stoi_rate(clean_ref)
+    ref = _stoi_reference(_at_stoi_rate(clean_ref))
     return InputScores(
-        clean=clean_stoi,
+        clean=ref,
         rate_hz=rate,
         n_samples=clean.size,
         snr_in_db=snr_db(clean_ref, AudioClip(noisy[None, :] - clean[None, :], rate)),
-        stoi_in=stoi(clean_stoi, at_stoi_rate(noisy_ref)),
+        stoi_in=_stoi_score(ref, _at_stoi_rate(noisy_ref)),
     )
 
 
@@ -234,7 +235,7 @@ def score_output(
     if n != inputs.n_samples:
         raise MetricsError(f"length mismatch: clean {inputs.n_samples} vs processed {n}")
     _same_rate(inputs.rate_hz, enhanced.sample_rate_hz, "clean", "processed")
-    stoi_out = stoi(inputs.clean, at_stoi_rate(enhanced))
+    stoi_out = _stoi_score(inputs.clean, _at_stoi_rate(enhanced))
     return MetricsReport(
         snr_in_db=snr_in,
         snr_out_db=snr_out,

@@ -12,8 +12,9 @@ input, built up front for the configs it will serve: enhance() is one
 built for a single config, the sweep keeps one per scene for its cells.
 The STFT covers only the channels the covariance is estimated over (for
 enhance(), the filter channels); a mask channel outside them is analysed
-on its own. When shadow filtering runs, the speech and noise images are
-analysed on a second thread while the mixture is analysed and masked.
+on its own. Outputs are filtered _BLOCK frames at a time; a single run
+analyses each block of the speech and noise images on the spot instead
+of holding their grids, which only an input serving several runs builds.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ from .config import EnhanceConfig
 from .covariance import BinStatistics, estimate_correlations
 from .errors import EgomwfError
 from .filters import FilterBank, build_filterbank, filter_partition
-from .scenegen import make_oracle_mask, spread
+from .scenegen import make_oracle_mask, spread, usable_cores
 from .spp import SppMask, SppParams, estimate_spp
-from .stft import StftGrid, StftParams, analyze, synthesize
+from .stft import StftGrid, StftParams, _frame_spectra, analyze, synthesize
+
+# frames filtered per block; a block of 16-channel spectra is 2 MB
+_BLOCK = 32
 
 
 class PipelineError(EgomwfError):
@@ -99,15 +103,17 @@ class InputAnalysis:
     single-channel analysis of its own.
 
     The constructor checks every config, then builds everything before it
-    returns, with scenegen.spread: on one thread the mixture grid, the
-    single-channel grids and the mask and correlations of each distinct
-    (mask source, SPP parameters) key; beside it the speech and noise
-    grids, when shadow filtering runs. A key whose build raises keeps the
-    error, and each run that needs the key raises it again. enhance only
-    reads what was built, so it may run on several threads at once.
+    returns: the mixture grid, the single-channel grids and the mask and
+    correlations of each distinct (mask source, SPP parameters) key. A
+    key whose build raises keeps the error, and each run that needs the
+    key raises it again. enhance only reads what was built, so it may run
+    on several threads at once.
 
     Reference clips must have the mixture's sample count. When both carry
-    every analysed channel, runs also shadow-filter them.
+    every analysed channel, runs also shadow-filter them. With more than
+    one config their grids are built beside the mixture work (scenegen.
+    spread) and each run filters from them in turn; a single run builds
+    none, and enhance filters the two clips and the mixture side by side.
     """
 
     def __init__(
@@ -140,7 +146,7 @@ class InputAnalysis:
         # reference clips carrying fewer (e.g. mask-only single-channel
         # ground truth) simply skip it
         shadows = all(ref is not None and ref.n_channels > max(self.channels) for ref in refs)
-        self.component_grids: tuple[StftGrid, StftGrid] | None = None
+        self.shadow_sources: tuple[AudioClip | StftGrid, ...] = refs if shadows else ()
 
         def mixture() -> None:
             self.grid = analyze(self.clip, params, self.channels)
@@ -154,9 +160,9 @@ class InputAnalysis:
                     self._estimates[key] = exc
 
         def components() -> None:
-            self.component_grids = tuple(analyze(ref, params, self.channels) for ref in refs)
+            self.shadow_sources = tuple(analyze(ref, params, self.channels) for ref in refs)
 
-        jobs = [mixture, components] if shadows else [mixture]
+        jobs = [mixture, components] if shadows and len(configs) > 1 else [mixture]
         spread(lambda job: job(), jobs, len(jobs))
 
     def _check(self, cfg: EnhanceConfig) -> tuple[tuple[int, ...], tuple[tuple, SppParams]]:
@@ -198,9 +204,33 @@ class InputAnalysis:
             raise PipelineError(f"oracle mask shape {mask.beta.shape} does not match grid {shape}")
         return mask
 
-    def _filtered(self, grid: StftGrid, fb: FilterBank) -> AudioClip:
-        d = apply_filterbank(grid, fb, [self._column[c] for c in fb.partition.ordered_channels])
-        return synthesize(StftGrid(d[:, :, np.newaxis], self.params, self.grid.n_samples))
+    def _blocks(self, source: AudioClip | StftGrid):
+        """(f0, (bins, b, channels) spectra of frames f0 .. f0 + b - 1): grid
+        slices, or a clip's frames analysed on the spot into a reused buffer."""
+        if isinstance(source, StftGrid):
+            for f0 in range(0, source.n_frames, _BLOCK):
+                yield f0, source.data[:, f0 : f0 + _BLOCK]
+            return
+        buf = np.empty((self.params.n_bins, _BLOCK, len(self.channels)), dtype=np.complex128)
+        for f0, spectra in _frame_spectra(source, self.params, self.channels, _BLOCK):
+            b = spectra.shape[1]
+            buf[:, :b] = spectra.transpose(2, 1, 0)
+            yield f0, buf[:, :b]
+
+    def _filtered(self, source: AudioClip | StftGrid, fb: FilterBank) -> AudioClip:
+        """synthesize(apply_filterbank(grid)) of source, block by block.
+
+        Each block's output goes transposed into one (frames, bins) buffer,
+        so synthesis reads contiguous spectra. A bin's product is the same
+        stacked BLAS call on fewer rows, so the output is bit for bit the
+        whole grid's.
+        """
+        columns = [self._column[c] for c in fb.partition.ordered_channels]
+        out = np.empty((self.grid.n_frames, self.params.n_bins), dtype=np.complex128)
+        for f0, block in self._blocks(source):
+            d = apply_filterbank(StftGrid(block, self.params), fb, columns)
+            out[f0 : f0 + d.shape[1]] = d.T
+        return synthesize(StftGrid(out.T[:, :, np.newaxis], self.params, self.grid.n_samples))
 
     def enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
         """The enhance() result for this input under cfg, one of the
@@ -215,13 +245,14 @@ class InputAnalysis:
         if order != self.channels:
             stats = stats.block([self._column[c] for c in order])
         fb = build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
-        enhanced = self._filtered(self.grid, fb)
-
-        shadow_speech = shadow_noise = None
-        if self.component_grids is not None:
-            s_grid, n_grid = self.component_grids
-            shadow_speech = self._filtered(s_grid, fb)
-            shadow_noise = self._filtered(n_grid, fb)
+        # built grids leave a sweep cell on its own lane
+        grids = all(isinstance(source, StftGrid) for source in self.shadow_sources)
+        *shadows, enhanced = spread(
+            lambda source: self._filtered(source, fb),
+            [*self.shadow_sources, self.grid],
+            1 if grids else usable_cores(),
+        )
+        shadow_speech, shadow_noise = shadows or (None, None)
 
         return EnhanceResult(
             enhanced=enhanced,

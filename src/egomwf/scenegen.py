@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,16 +67,23 @@ def usable_cores() -> int:
 
 def spread(fn, items, threads: int) -> list:
     """[fn(x) for x in items] on the calling thread and up to threads - 1
-    others. An error leaves the items not yet started undone, then propagates."""
-    todo, out = iter(range(len(items))), [None] * len(items)
+    others. An error leaves the items not yet started undone, then propagates.
+    Indices are handed out under a lock, so no item runs twice even where
+    the interpreter runs threads without a global lock."""
+    todo, out, lock = iter(range(len(items))), [None] * len(items), threading.Lock()
+
+    def take() -> int | None:
+        with lock:
+            return next(todo, None)
 
     def drain() -> None:
         try:
-            for k in todo:
+            while (k := take()) is not None:
                 out[k] = fn(items[k])
         finally:  # after an error, leave the other threads nothing to start
-            for _ in todo:
-                pass
+            with lock:
+                for _ in todo:
+                    pass
 
     n_helpers = min(threads, len(items)) - 1
     with ThreadPoolExecutor(max(1, n_helpers)) as pool:
@@ -114,13 +122,16 @@ class SceneConfig:
     sample_rate_hz: int = 16000
 
     def __post_init__(self):
+        def finite(value) -> bool:
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            return real and math.isfinite(value)
+
         if len(self.rotor_speeds_rpm) != N_ROTORS:
             raise SceneError(f"need {N_ROTORS} rotor speeds, got {len(self.rotor_speeds_rpm)}")
-        if any(r <= 0 for r in self.rotor_speeds_rpm):
-            raise SceneError("rotor speeds must be positive")
+        if not all(finite(r) and r > 0 for r in self.rotor_speeds_rpm):
+            raise SceneError(f"rotor speeds must be finite and > 0, got {self.rotor_speeds_rpm}")
         for name, value in vars(self).items():
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if name.endswith("_db") and not (real and math.isfinite(value)):
+            if name.endswith("_db") and not finite(value):
                 raise SceneError(f"{name} must be a finite number, got {value!r}")
         if type(self.seed) is not int:
             raise SceneError(f"seed must be an integer, got {self.seed!r}")

@@ -55,10 +55,6 @@ class SppMask:
     source_channel: tuple[str, int]
 
     @property
-    def n_bins(self) -> int:
-        return self.beta.shape[0]
-
-    @property
     def n_frames(self) -> int:
         return self.beta.shape[1]
 

@@ -117,6 +117,42 @@ def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.reshape(lead + (-1,))[..., : (n_frames - 1) * hop + size]
 
 
+def _frame_spectra(clip: AudioClip, params: StftParams, channels: Sequence[int], block: int):
+    """(f0, spectra of frames f0 .. f0 + b - 1 in a reused (channels, b,
+    bins) buffer) of a checked clip, up to `block` frames at a time.
+
+    A full frame is windowed straight from a strided view of its channel's
+    samples; only frames that run past the end come from a small
+    zero-padded copy. Windowing is one exact product per sample, and a
+    frame's rfft does not depend on its batch, so each block equals a
+    frame-by-frame rfft of the zero-padded signal bit for bit.
+    """
+    n = clip.n_frames
+    nfft, hop = params.fft_size, params.hop
+    n_frames = -(-n // hop)
+    n_full = (n - nfft) // hop + 1  # frames that end inside the signal
+    full = frame_view(clip.samples, nfft, hop)
+    # the rest, zero-padded; one unread frame when every frame is full
+    start = n_full * hop
+    tail = np.zeros((len(channels), max(n_frames - n_full - 1, 0) * hop + nfft))
+    tail[:, : n - start] = clip.samples[channels, start:]
+    tail_frames = frame_view(tail, nfft, hop)
+    window = params.window_values()
+    windowed = np.empty((len(channels), block, nfft))
+    spectra = np.empty((len(channels), block, params.n_bins), dtype=np.complex128)
+    for f0 in range(0, n_frames, block):
+        b = min(block, n_frames - f0)
+        split = min(max(n_full - f0, 0), b)  # full frames in this block
+        if split:
+            for row, c in zip(windowed, channels):
+                np.multiply(full[c, f0 : f0 + split], window, out=row[:split])
+        if split < b:
+            t0 = f0 + split - n_full
+            np.multiply(tail_frames[:, t0 : t0 + b - split], window, out=windowed[:, split:b])
+        np.fft.rfft(windowed[:, :b], axis=-1, out=spectra[:, :b])
+        yield f0, spectra[:, :b]
+
+
 def analyze(
     clip: AudioClip, params: StftParams | None = None, channels: Sequence[int] | None = None
 ) -> StftGrid:
@@ -128,18 +164,10 @@ def analyze(
     n_frames = ceil(n / hop). The grid data is C-contiguous, so per-bin
     products over channels run as stacked BLAS calls without a copy.
 
-    Frames are transformed _BLOCK at a time. A full frame is windowed
-    straight from a strided view of its channel's samples, so the signal
-    is never copied; only the frames that run past the end come from a
-    small zero-padded copy of the last samples. Each block is windowed
-    into a reused (channels, _BLOCK, fft_size) buffer, transformed along
-    its contiguous last axis into a reused (channels, _BLOCK, bins)
-    buffer, and written transposed into the grid while still in cache.
-    Windowing is one exact product per sample wherever the frame comes
-    from, and a frame's rfft does not depend on the frames batched with
-    it, so the grid equals a frame-by-frame rfft of the zero-padded
-    signal bit for bit, and a column equals the same channel's column in
-    the full analysis.
+    Frames come from _frame_spectra _BLOCK at a time, each block written
+    transposed into the grid while still in cache, so the grid equals a
+    frame-by-frame rfft of the zero-padded signal bit for bit, and a
+    column equals the same channel's column in the full analysis.
     """
     params = params or StftParams()
     if clip.sample_rate_hz != params.sample_rate_hz:
@@ -152,33 +180,12 @@ def analyze(
     for c in channels:
         if not 0 <= c < clip.n_channels:
             raise StftError(f"channel {c} out of range (have {clip.n_channels})")
-    n = clip.n_frames
-    nfft, hop = params.fft_size, params.hop
+    n, nfft = clip.n_frames, params.fft_size
     if n < nfft:
         raise StftError(f"clip of {n} samples shorter than one frame ({nfft})")
-    n_frames = -(-n // hop)
-    n_full = (n - nfft) // hop + 1  # frames that end inside the signal
-    full = frame_view(clip.samples, nfft, hop)
-    # the rest, zero-padded; one unread frame when every frame is full
-    start = n_full * hop
-    tail = np.zeros((len(channels), max(n_frames - n_full - 1, 0) * hop + nfft))
-    tail[:, : n - start] = clip.samples[channels, start:]
-    tail_frames = frame_view(tail, nfft, hop)
-    window = params.window_values()
-    spec = np.empty((params.n_bins, n_frames, len(channels)), dtype=np.complex128)
-    windowed = np.empty((len(channels), _BLOCK, nfft))
-    block_spec = np.empty((len(channels), _BLOCK, params.n_bins), dtype=np.complex128)
-    for f0 in range(0, n_frames, _BLOCK):
-        b = min(_BLOCK, n_frames - f0)
-        split = min(max(n_full - f0, 0), b)  # full frames in this block
-        if split:
-            for row, c in zip(windowed, channels):
-                np.multiply(full[c, f0 : f0 + split], window, out=row[:split])
-        if split < b:
-            t0 = f0 + split - n_full
-            np.multiply(tail_frames[:, t0 : t0 + b - split], window, out=windowed[:, split:b])
-        np.fft.rfft(windowed[:, :b], axis=-1, out=block_spec[:, :b])
-        spec[:, f0 : f0 + b] = block_spec[:, :b].transpose(2, 1, 0)
+    spec = np.empty((params.n_bins, -(-n // params.hop), len(channels)), dtype=np.complex128)
+    for f0, block in _frame_spectra(clip, params, channels, _BLOCK):
+        spec[:, f0 : f0 + block.shape[1]] = block.transpose(2, 1, 0)
     return StftGrid(spec, params, n_samples=n)
 
 

@@ -269,7 +269,7 @@ def test_cmd_enhance_component_worker_error_exit_3(tmp_path, scene_dir, config_f
     import egomwf.pipeline
     from egomwf.stft import StftError
 
-    real = egomwf.pipeline.analyze
+    real = egomwf.pipeline._frame_spectra
     mixture = read_wav(scene_dir / "mixture.wav")
 
     def failing(clip, *args, **kwargs):
@@ -278,7 +278,7 @@ def test_cmd_enhance_component_worker_error_exit_3(tmp_path, scene_dir, config_f
             raise StftError("component analysis failed")
         return real(clip, *args, **kwargs)
 
-    monkeypatch.setattr(egomwf.pipeline, "analyze", failing)
+    monkeypatch.setattr(egomwf.pipeline, "_frame_spectra", failing)
     code = main(["enhance", "--input", str(scene_dir / "mixture.wav"),
                  "--output", str(tmp_path / "o.wav"), "--config", config_file,
                  "--speech-ref", str(scene_dir / "speech.wav"),
@@ -531,6 +531,10 @@ def test_cmd_simulate_deterministic_bytes(tmp_path, speech_wav):
         {"coupling_own_db": "x"},
         {"sensor_noise_db": None},
         {"target_snr_db": float("nan")},
+        # rotor speeds that are not finite real numbers
+        {"rotor_speeds_rpm": [float("nan"), 3920.0, 4040.0, 3960.0]},
+        {"rotor_speeds_rpm": [float("inf"), 3920.0, 4040.0, 3960.0]},
+        {"rotor_speeds_rpm": [True, 3920.0, 4040.0, 3960.0]},
     ],
 )
 def test_cmd_simulate_malformed_scene_config_exit_2(tmp_path, speech_wav, capsys, raw):

@@ -208,7 +208,8 @@ def test_evaluate_end_to_end_improves(default_scene):
 
 
 def _remove_silent_frames_loop(x, y):
-    """Frame-by-frame form of metrics._remove_silent_frames."""
+    """Frame-by-frame form of silent-frame removal (the keep mask of
+    metrics._stoi_reference applied by metrics._kept)."""
     frame, hop = 256, 128
     window = np.hanning(frame + 2)[1:-1]
     n_frames = (x.size - frame) // hop + 1
@@ -250,7 +251,8 @@ def test_remove_silent_frames_matches_loop(rng):
     x = rng.standard_normal(20000)
     x[5000:9000] *= 1e-4  # frames far below the loudest get dropped
     y = x + 0.3 * rng.standard_normal(20000)
-    got = metrics._remove_silent_frames(x, y)
+    keep = metrics._stoi_reference(x).keep
+    got = metrics._kept(x, keep), metrics._kept(y, keep)
     ref = _remove_silent_frames_loop(x, y)
     assert got[0].size < x.size
     for a, b in zip(got, ref):
@@ -281,3 +283,15 @@ def test_evaluate_clips_resamples_clean_reference_once(rng, monkeypatch):
     report = metrics.score_output(metrics.score_input(clean, noisy), noisy, clean, noise)
     assert len(calls) == 3  # clean, noisy, enhanced
     assert report.stoi_in == report.stoi_out == stoi(clean, noisy)
+
+
+def test_score_output_stoi_equals_stoi_bit_for_bit(speech_clip, rng):
+    """score_output scores the processed side against the clean side that
+    score_input built once; the result is stoi's, bit for bit."""
+    clean = _clip(speech_clip.samples[0, :40000])
+    noisy = _clip(clean.samples[0] + 0.5 * np.std(clean.samples) * rng.standard_normal(40000))
+    inputs = metrics.score_input(clean, noisy)
+    assert inputs.stoi_in == stoi(clean, noisy)
+    for gain in (0.3, 0.8):
+        processed = _clip(gain * noisy.samples[0] + (1 - gain) * clean.samples[0])
+        assert metrics.score_output(inputs, processed).stoi_out == stoi(clean, processed)

@@ -286,33 +286,87 @@ def test_external_spp_outside_filter_channels_matches_full_grid(default_scene, m
 
 
 def test_component_grids_from_worker_match_inline_analysis(default_scene):
+    """Two configs build component grids on the worker; their shadows equal
+    the inline analysis and a single run's grid-free shadows bit for bit."""
     from egomwf.pipeline import InputAnalysis
     from egomwf.stft import synthesize
 
     part = ChannelPartition(tuple(range(12)), (12, 13, 14, 15), 0)
     cfg = EnhanceConfig(partition=part, spp_mode="oracle", method="pk-mwf")
+    other = replace(cfg, method="mwf-with-noise-mics")
     scene = default_scene
     analysis = InputAnalysis(
-        scene.mixture, cfg.stft, scene.speech_image, scene.noise_image, range(16), [cfg]
+        scene.mixture, cfg.stft, scene.speech_image, scene.noise_image, range(16), [cfg, other]
     )
     result = analysis.enhance(cfg)
     order = list(part.ordered_channels)
     for worker_grid, ref, shadow in (
-        (analysis.component_grids[0], scene.speech_image, result.shadow_speech),
-        (analysis.component_grids[1], scene.noise_image, result.shadow_noise),
+        (analysis.shadow_sources[0], scene.speech_image, result.shadow_speech),
+        (analysis.shadow_sources[1], scene.noise_image, result.shadow_noise),
     ):
         inline = analyze(ref, cfg.stft, range(16))
         assert np.array_equal(worker_grid.data, inline.data)
         d = apply_filterbank(inline, result.filterbank, order)
         expected = synthesize(StftGrid(d[:, :, None], inline.params, inline.n_samples))
         assert np.array_equal(shadow.samples, expected.samples)
+    single = InputAnalysis(
+        scene.mixture, cfg.stft, scene.speech_image, scene.noise_image, range(16), [cfg]
+    )
+    assert single.shadow_sources == (scene.speech_image, scene.noise_image)
+    alone = single.enhance(cfg)
+    for a, b in ((alone.enhanced, result.enhanced), (alone.shadow_speech, result.shadow_speech),
+                 (alone.shadow_noise, result.shadow_noise)):
+        assert np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("channels", [(5,), (9, 2, 14, 0), tuple(range(16))])
+def test_blocked_filter_matches_whole_grid_synthesis(rng, channels):
+    """A grid or a clip filtered _BLOCK frames at a time equals
+    synthesize(apply_filterbank(analyze(...))) bit for bit, at lengths
+    around one frame and around whole blocks."""
+    from egomwf.pipeline import _BLOCK, InputAnalysis
+    from egomwf.stft import synthesize
+
+    params = StftParams()
+    nfft, hop = params.fft_size, params.hop
+    part = ChannelPartition(channels[:1], channels[1:], 0)
+    shape = (params.n_bins, len(channels))
+    fb = _bank(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), part)
+    for n in (nfft, nfft + 1, _BLOCK * hop, 2 * _BLOCK * hop, _BLOCK * hop + 1, 37 * hop + 3):
+        clip = AudioClip(rng.standard_normal((16, n)), params.sample_rate_hz)
+        analysis = InputAnalysis(clip, params, None, None, range(16), [])
+        grid = analyze(clip, params)
+        d = apply_filterbank(grid, fb, channels)
+        expected = synthesize(StftGrid(d[:, :, None], params, n)).samples
+        for source in (analysis.grid, clip):
+            assert np.array_equal(analysis._filtered(source, fb).samples, expected), (n, source)
+
+
+def test_single_run_shadow_enhance_holds_no_component_grid(default_scene):
+    """A single M = 16 shadow run peaks below two grids: the mixture grid
+    and no 16-channel grid of either component beside it."""
+    import tracemalloc
+
+    scene = default_scene
+    part = ChannelPartition(tuple(range(12)), (12, 13, 14, 15), 0)
+    cfg = EnhanceConfig(partition=part, spp_mode="oracle", method="pk-mwf")
+    n_frames = -(-scene.mixture.n_frames // cfg.stft.hop)
+    grid_bytes = cfg.stft.n_bins * n_frames * 16 * 16  # complex128, 16 channels
+    tracemalloc.start()
+    try:
+        result = enhance(scene.mixture, cfg, scene.speech_image, scene.noise_image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.shadow_speech is not None
+    assert peak < 2 * grid_bytes
 
 
 def test_worker_error_surfaces_from_enhance_with_its_type(default_scene, monkeypatch):
     import egomwf.pipeline
     from egomwf.stft import StftError
 
-    real = egomwf.pipeline.analyze
+    real = egomwf.pipeline._frame_spectra
     components = (default_scene.speech_image, default_scene.noise_image)
 
     def failing(clip, *args, **kwargs):
@@ -320,7 +374,7 @@ def test_worker_error_surfaces_from_enhance_with_its_type(default_scene, monkeyp
             raise StftError("component analysis failed")
         return real(clip, *args, **kwargs)
 
-    monkeypatch.setattr(egomwf.pipeline, "analyze", failing)
+    monkeypatch.setattr(egomwf.pipeline, "_frame_spectra", failing)
     cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="internal", method="pk-mwf")
     with pytest.raises(StftError, match="component analysis failed"):
         enhance(default_scene.mixture, cfg, default_scene.speech_image, default_scene.noise_image)

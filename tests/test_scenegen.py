@@ -228,6 +228,27 @@ def test_spread_error_stops_items_not_started(error, on_calling_thread):
     assert 1 <= len(started) <= 3
 
 
+def test_spread_runs_each_item_once_under_fast_switching():
+    """More threads than cores, switching every microsecond: each index is
+    handed out once, so every item runs exactly once and lands in place."""
+    import sys
+
+    counts = [0] * 3000
+
+    def count(k):
+        counts[k] += 1  # one writer per index unless an index is handed out twice
+        return k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = spread(count, range(3000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == list(range(3000))
+    assert counts == [1] * 3000
+
+
 def test_noise_scaling_between_targets(speech_wav):
     lo = render_scene(SceneConfig(speech_path=speech_wav, target_snr_db=-20.0, seed=4, duration_s=2.0))
     hi = render_scene(SceneConfig(speech_path=speech_wav, target_snr_db=0.0, seed=4, duration_s=2.0))
