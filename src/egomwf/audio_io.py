@@ -70,27 +70,45 @@ _FULL_SCALE = {
 }
 
 
-def read_wav(path: str | Path) -> AudioClip:
+def read_wav(path: str | Path, external: str | Path | None = None) -> AudioClip:
     """Read a PCM 16/24/32-bit or 32-bit float WAV as a normalized clip.
 
     Samples are divided by the format's full-scale value; channel order on
-    disk is preserved as row order in memory.
+    disk is preserved as row order in memory. With external, the first
+    channel of that WAV (an external microphone of the same rate and
+    length) is one more row. Each file is cast (and scaled) straight into
+    its rows of one C-ordered array.
     """
-    path = Path(path)
-    if not path.exists():
-        raise AudioError(f"file not found: {path}")
-    try:
-        rate, data = wavfile.read(str(path))
-    except Exception as exc:
-        raise AudioError(f"unreadable WAV file {path}: {exc}") from exc
-    if data.dtype not in _FULL_SCALE:
-        raise AudioError(f"unsupported WAV sample format {data.dtype} in {path}")
-    if data.size == 0:
-        raise AudioError(f"zero-length audio in {path}")
-    x = data.astype(np.float64) / _FULL_SCALE[data.dtype]
-    if x.ndim == 1:
-        x = x[:, np.newaxis]
-    return AudioClip(x.T, int(rate))
+    files = []
+    for source in (path,) if external is None else (path, external):
+        source = Path(source)
+        if not source.exists():
+            raise AudioError(f"file not found: {source}")
+        try:
+            rate, data = wavfile.read(str(source))
+        except Exception as exc:
+            raise AudioError(f"unreadable WAV file {source}: {exc}") from exc
+        if data.dtype not in _FULL_SCALE:
+            raise AudioError(f"unsupported WAV sample format {data.dtype} in {source}")
+        if data.size == 0:
+            raise AudioError(f"zero-length audio in {source}")
+        files.append((int(rate), data.reshape(len(data), -1)))
+    (rate, data), *extra = files
+    for ext_rate, ext in extra:
+        if ext_rate != rate:
+            raise AudioError("external microphone rate differs from the input")
+        if len(ext) != len(data):
+            raise AudioError(
+                f"external microphone has {len(ext)} samples but the input has {len(data)}"
+            )
+    parts = [data, *(ext[:, :1] for _, ext in extra)]
+    samples = np.empty((sum(part.shape[1] for part in parts), len(data)))
+    for part, rows in zip(parts, np.split(samples, [data.shape[1]])):
+        if _FULL_SCALE[part.dtype] == 1.0:  # float data: dividing by one would cost a pass
+            rows[...] = part.T
+        else:
+            np.divide(part.T, _FULL_SCALE[part.dtype], out=rows)
+    return AudioClip(samples, rate)
 
 
 def write_wav(clip: AudioClip, path: str | Path, bit_depth: str = "16") -> None:

@@ -10,18 +10,13 @@ one scene per seed and SNR, in --workers processes (by default
 min(4, cores in the affinity mask)), and on each scene every array size
 x SPP mode x method.
 
-The sweep renders each scene once and, before its cells start, builds
-what they share (SharedScene): the STFT grids of the mixture, speech and
-noise images on the 16 array and propeller channels (the external
-microphone is analysed on its own, for its mask), one mask per SPP mode,
-one covariance per mask over those 16 channels (a cell's statistics are
-its principal sub-block on the cell's own channels) and the input
-SNR/STOI. A mask that fails fails exactly its mode's cells. Each cell
-then filters and scores through the same pipeline and metrics code as
-enhance and evaluate. A scene holds BLAS at one thread; in-process
-its cells then run on one thread per usable core, the calling thread
-among them. A pool worker, or a scene whose pin does not take, runs its
-cells on its own thread alone.
+Before a scene's cells start, SharedScene builds what they share: the
+mixture's STFT grid on the 16 array and propeller channels, one mask
+and covariance per SPP mode, the input scores, each cell's filter bank
+and the speech image filtered for all cells in one pass. A failure there
+fails exactly the cells it serves. A scene holds BLAS at one thread; its
+cells run on one thread per usable core (a pool worker's, or those of a
+scene whose pin does not take, on one).
 """
 
 from __future__ import annotations
@@ -39,9 +34,7 @@ from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
 
-import numpy as np
-
-from .audio_io import AudioClip, AudioError, read_wav, write_wav
+from .audio_io import AudioClip, read_wav, write_wav
 from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition
@@ -52,7 +45,6 @@ from .scenegen import (
     DEFAULT_SNRS_DB,
     SceneConfig,
     SceneError,
-    SceneOutput,
     render_scene,
     spread,
     spread_processes,
@@ -77,25 +69,10 @@ def _fail_config(msg: str) -> int:
     return EXIT_CONFIG
 
 
-def _load_multichannel(path: str, external: str | None) -> AudioClip:
-    clip = read_wav(path)
-    if external is None:
-        return clip
-    ext = read_wav(external)
-    if ext.sample_rate_hz != clip.sample_rate_hz:
-        raise AudioError("external microphone rate differs from the input")
-    if ext.n_frames != clip.n_frames:
-        raise AudioError(
-            f"external microphone has {ext.n_frames} samples but the input has {clip.n_frames}"
-        )
-    return AudioClip(np.vstack([clip.samples, ext.samples[:1]]), clip.sample_rate_hz)
-
-
 def _enhance_report(cfg: EnhanceConfig, result: EnhanceResult, elapsed: float) -> dict:
-    counts = result.status_counts()
     return {
         "config": cfg.describe(),
-        "per_bin_status_counts": counts,
+        "per_bin_status_counts": result.status_counts(),
         "spp_activity_fraction": result.mask.activity_fraction(),
         "filter_compute_seconds": result.filterbank.compute_seconds,
         "elapsed_seconds": elapsed,
@@ -107,13 +84,9 @@ def cmd_enhance(args: argparse.Namespace) -> int:
         return _fail_config("--speech-ref and --noise-ref must be given together")
     if not args.speech_ref and (args.shadow_speech_out or args.shadow_noise_out):
         return _fail_config("--shadow-*-out needs --speech-ref and --noise-ref")
-    overrides = {
-        "method": args.method,
-        "spp_mode": args.spp_mode,
-        "spp_channel": args.spp_channel,
-    }
+    overrides = {key: getattr(args, key) for key in ("method", "spp_mode", "spp_channel")}
     cfg = load_config(args.config, overrides)
-    clip = _load_multichannel(args.input, args.external)
+    clip = read_wav(args.input, args.external)
     if cfg.spp_mode == "external" and cfg.spp_channel is None:
         if args.external is None:
             return _fail_config("external SPP mode needs --external or --spp-channel")
@@ -195,31 +168,28 @@ def _cell_config(ext: int, partition: ChannelPartition, spp_mode: str, method: s
 
 
 class SharedScene:
-    """A rendered scene and the work its sweep cells share, all built on
-    construction: the mixture analysis for every cell and the input scores."""
+    """A scene's manifest and the work its sweep cells share, all built on
+    construction: the input scores, the mixture analysis, and each cell's
+    filter bank and speech shadow (banks on `lanes` threads). The rendered
+    images go as soon as what needs them exists."""
 
-    def __init__(self, scene: SceneOutput, cells: list[tuple]):
-        self.scene = scene
+    def __init__(self, scene_cfg: SceneConfig, cells: list[tuple], lanes: int):
+        scene = render_scene(scene_cfg)
+        self.manifest = scene.manifest
         channels = scene.manifest["channels"]
-        configs = [
-            _cell_config(channels["external"], suite_partition(m), spp_mode, method)
-            for m, spp_mode, method in cells
-        ]
-        self.analysis = InputAnalysis(
-            scene.mixture,
-            StftParams(),
-            scene.speech_image,
-            scene.noise_image,
-            channels["array"] + channels["propeller"],
-            configs,
-        )
+        ext = channels["external"]
+        configs = [_cell_config(ext, suite_partition(m), mode, method) for m, mode, method in cells]
         ref = scene.manifest["reference_channel"]
         self.inputs = score_input(scene.speech_image.channel(ref), scene.mixture.channel(ref))
+        images = scene.mixture, StftParams(), scene.speech_image, scene.noise_image
+        self.analysis = InputAnalysis(*images, channels["array"] + channels["propeller"], configs)
+        del scene, images  # the analysis keeps the speech image alone, for its pass
+        self.analysis.filter_shadows(lanes)
 
 
 def run_cell(shared: SharedScene, partition: ChannelPartition, spp_mode: str, method: str) -> dict:
     """One sweep cell on its scene's shared work; returns its scores."""
-    ext = shared.scene.manifest["channels"]["external"]
+    ext = shared.manifest["channels"]["external"]
     result = shared.analysis.enhance(_cell_config(ext, partition, spp_mode, method))
     scores = asdict(
         score_output(shared.inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
@@ -255,7 +225,8 @@ def _run_scene_group(scene_cfg: SceneConfig, lanes: int = 1) -> list[dict]:
     on `lanes` threads counting the caller; rows come back in product order."""
     cells = list(product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
     with _one_blas_thread() as pinned:
-        shared = SharedScene(render_scene(scene_cfg), cells)
+        lanes = lanes if pinned else 1
+        shared = SharedScene(scene_cfg, cells, lanes)
 
         def run(cell: tuple) -> dict:
             m_speech_noise, spp_mode, method = cell
@@ -274,7 +245,7 @@ def _run_scene_group(scene_cfg: SceneConfig, lanes: int = 1) -> list[dict]:
                 row["status"] = f"failed: {exc}"
             return row
 
-        return spread(run, cells, lanes if pinned else 1)
+        return spread(run, cells, lanes)
 
 
 CSV_COLUMNS = [
@@ -304,11 +275,8 @@ def run_sweep(
     workers: int | None = None,
 ) -> list[dict]:
     """The full grid for every seed and SNR; rows come back in deterministic order."""
-    tasks = [
-        SceneConfig(speech_path, target_snr_db=float(snr), seed=seed, duration_s=duration_s)
-        for seed in seeds
-        for snr in snrs
-    ]
+    tasks = [SceneConfig(speech_path, target_snr_db=float(snr), seed=seed, duration_s=duration_s)
+             for seed in seeds for snr in snrs]
     workers = _sweep_workers(workers)
     if workers > 1 and len(tasks) > 1:
         grouped = spread_processes(_run_scene_group, tasks, workers)

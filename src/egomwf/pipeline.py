@@ -4,17 +4,16 @@ filtering, inverse STFT, plus shadow filtering of known components.
 The whole file yields one FilterBank which is applied to every frame
 (batch processing, no per-frame adaptation). Applying the same fixed
 bank separately to ground-truth speech and noise components gives exact
-output-SNR bookkeeping by linearity.
+output-SNR bookkeeping by linearity; when the input is exactly speech
+plus noise (as a rendered scene is), the noise shadow is the output
+less the speech shadow.
 
 Everything before the filter depends on the input and the mask source,
 not on method or array size, so an InputAnalysis serves many runs on one
-input, built up front for the configs it will serve: enhance() is one
-built for a single config, the sweep keeps one per scene for its cells.
-The STFT covers only the channels the covariance is estimated over (for
-enhance(), the filter channels); a mask channel outside them is analysed
-on its own. Outputs are filtered _BLOCK frames at a time; a single run
-analyses each block of the speech and noise images on the spot instead
-of holding their grids, which only an input serving several runs builds.
+input: enhance() builds one for a single config, the sweep one per scene.
+No component is held as a grid: reference clips are analysed, filtered
+and synthesized _BLOCK frames at a time, beside the mixture in a single
+run, once for all the cells of a sweep scene.
 """
 
 from __future__ import annotations
@@ -53,6 +52,13 @@ class EnhanceResult:
         return self.filterbank.status_counts()
 
 
+def _conj_weights(fb: FilterBank, channels: Sequence[int], width: int) -> np.ndarray:
+    """conj(w(k)) spread to a width-channel grid, zero off `channels`: (bins, width)."""
+    weights = np.zeros((fb.weights.shape[0], width), dtype=np.complex128)
+    weights[:, list(channels)] = fb.weights
+    return np.conj(weights)
+
+
 def apply_filterbank(grid: StftGrid, fb: FilterBank, channels: Sequence[int]) -> np.ndarray:
     """d(k, l) = w(k)^H y(k, l).
 
@@ -69,9 +75,7 @@ def apply_filterbank(grid: StftGrid, fb: FilterBank, channels: Sequence[int]) ->
             f"channels {list(channels)} do not fit {m} weights on a "
             f"{grid.n_channels}-channel grid"
         )
-    weights = np.zeros((n_bins, grid.n_channels), dtype=np.complex128)
-    weights[:, list(channels)] = fb.weights
-    return (grid.data @ np.conj(weights)[:, :, None])[:, :, 0]
+    return (grid.data @ _conj_weights(fb, channels, grid.n_channels)[:, :, None])[:, :, 0]
 
 
 def _mask_source(cfg: EnhanceConfig) -> tuple[str, int]:
@@ -86,106 +90,90 @@ def _mask_source(cfg: EnhanceConfig) -> tuple[str, int]:
     return cfg.spp_mode, ref_phys
 
 
-def _channel_of(clip: AudioClip, channel: int) -> AudioClip:
-    """The clip's `channel`, or the clip itself when it has only one."""
-    return clip.channel(channel) if clip.n_channels > 1 else clip
-
-
 class InputAnalysis:
     """One multichannel input (plus optional ground-truth components, as
     for enhance) analysed once for the enhance runs of `configs`.
 
-    Only `channels` are analysed: column j of the mixture grid and of
-    both component grids holds physical channel channels[j]. Correlations
-    are estimated over those columns; each run takes the principal
-    sub-block on its own filter channels, which must lie there. A mask
-    channel outside `channels` (an external microphone, say) gets one
-    single-channel analysis of its own.
+    Only `channels` are analysed: column j of the mixture grid holds
+    physical channel channels[j]. Correlations are estimated over those
+    columns; each run takes the principal sub-block on its own filter
+    channels, which must lie there. A mask channel outside `channels` (an
+    external microphone, say) gets one single-channel analysis of its own.
 
-    The constructor checks every config, then builds everything before it
-    returns: the mixture grid, the single-channel grids and the mask and
-    correlations of each distinct (mask source, SPP parameters) key. A
-    key whose build raises keeps the error, and each run that needs the
-    key raises it again. enhance only reads what was built, so it may run
-    on several threads at once.
+    The constructor checks every config, then builds the mixture grid and
+    the mask and correlations of each distinct (mask source, SPP
+    parameters) key; a key whose build raises keeps the error for every
+    run that needs it. enhance only reads what was built (and hands each
+    prepared run out once), so it may run on several threads at once.
 
     Reference clips must have the mixture's sample count. When both carry
-    every analysed channel, runs also shadow-filter them. With more than
-    one config their grids are built beside the mixture work (scenegen.
-    spread) and each run filters from them in turn; a single run builds
-    none, and enhance filters the two clips and the mixture side by side.
+    every analysed channel, runs shadow-filter them too: each beside its
+    mixture filtering, or all at once in filter_shadows. Where the input
+    equals their sum on the analysed channels sample for sample, only the
+    speech is kept and filtered: the noise shadow is the rest.
     """
 
-    def __init__(
-        self,
-        clip: AudioClip,
-        params: StftParams,
-        speech_ref: AudioClip | None,
-        noise_ref: AudioClip | None,
-        channels: Sequence[int],
-        configs: Sequence[EnhanceConfig],
-    ):
+    def __init__(self, clip: AudioClip, params: StftParams, speech_ref: AudioClip | None,
+                 noise_ref: AudioClip | None, channels: Sequence[int],
+                 configs: Sequence[EnhanceConfig]):
         self.params = params
         rate = params.sample_rate_hz
-        self.clip = resample(clip, rate)
-        self.speech_ref = None if speech_ref is None else resample(speech_ref, rate)
-        self.noise_ref = None if noise_ref is None else resample(noise_ref, rate)
+        clip = resample(clip, rate)
+        refs = tuple(None if ref is None else resample(ref, rate) for ref in (speech_ref, noise_ref))
         self.channels = tuple(channels)
-        refs = (self.speech_ref, self.noise_ref)
+        self.n_channels = clip.n_channels
         for name, ref in zip(("speech", "noise"), refs):
-            if ref is not None and ref.n_frames != self.clip.n_frames:
+            if ref is not None and ref.n_frames != clip.n_frames:
                 raise PipelineError(
                     f"{name} reference has {ref.n_frames} samples but the input has "
-                    f"{self.clip.n_frames}"
+                    f"{clip.n_frames}"
                 )
         self._column = {c: j for j, c in enumerate(self.channels)}
-        keys = dict.fromkeys(self._check(cfg)[1] for cfg in configs)
+        self._configs = tuple(configs)
+        keys = dict.fromkeys(self._check(cfg)[1] for cfg in self._configs)
         singles = sorted({c for (mode, c), _ in keys if mode != "oracle" and c not in self._column})
         self._estimates: dict[tuple, tuple[SppMask, BinStatistics] | Exception] = {}
+        self._prepared: dict[EnhanceConfig, tuple] = {}
         # shadow filtering needs the components at every analysed channel;
         # reference clips carrying fewer (e.g. mask-only single-channel
         # ground truth) simply skip it
         shadows = all(ref is not None and ref.n_channels > max(self.channels) for ref in refs)
-        self.shadow_sources: tuple[AudioClip | StftGrid, ...] = refs if shadows else ()
-
-        def mixture() -> None:
-            self.grid = analyze(self.clip, params, self.channels)
-            single = {c: analyze(self.clip, params, [c]) for c in singles}
-            columns = range(len(self.channels))
-            for key in keys:
-                try:
-                    mask = self._build_mask(key, single)
-                    self._estimates[key] = mask, estimate_correlations(self.grid, mask, columns)
-                except Exception as exc:  # raised again by every run that needs the key
-                    self._estimates[key] = exc
-
-        def components() -> None:
-            self.shadow_sources = tuple(analyze(ref, params, self.channels) for ref in refs)
-
-        jobs = [mixture, components] if shadows and len(configs) > 1 else [mixture]
-        spread(lambda job: job(), jobs, len(jobs))
+        speech, noise = refs
+        summed = shadows and all(
+            np.array_equal(clip.samples[c], speech.samples[c] + noise.samples[c])
+            for c in self.channels
+        )
+        self.shadow_sources: tuple[AudioClip, ...] = (speech,) if summed else refs if shadows else ()
+        self.grid = analyze(clip, params, self.channels)
+        single = {c: analyze(clip, params, [c]) for c in singles}
+        columns = range(len(self.channels))
+        for key in keys:
+            try:
+                mask = self._build_mask(key, single, refs)
+                self._estimates[key] = mask, estimate_correlations(self.grid, mask, columns)
+            except Exception as exc:  # raised again by every run that needs the key
+                self._estimates[key] = exc
 
     def _check(self, cfg: EnhanceConfig) -> tuple[tuple[int, ...], tuple[tuple, SppParams]]:
         """cfg's filter channels and mask key; raises for a run this input cannot serve."""
         if cfg.stft != self.params:
             raise PipelineError(f"config STFT {cfg.stft} differs from the analysed {self.params}")
         order = filter_partition(cfg.partition, cfg.method).ordered_channels
-        n_channels = self.clip.n_channels
         needed = max(order)
-        if needed >= n_channels:
+        if needed >= self.n_channels:
             raise PipelineError(
-                f"partition references channel {needed} but input has {n_channels}"
+                f"partition references channel {needed} but input has {self.n_channels}"
             )
-        if cfg.spp_channel is not None and cfg.spp_channel >= n_channels:
+        if cfg.spp_channel is not None and cfg.spp_channel >= self.n_channels:
             raise PipelineError(
-                f"SPP channel {cfg.spp_channel} out of range for {n_channels}-channel input"
+                f"SPP channel {cfg.spp_channel} out of range for {self.n_channels}-channel input"
             )
         outside = sorted(set(order) - set(self.channels))
         if outside:
             raise PipelineError(f"channels {outside} are outside the analysed set {self.channels}")
         return order, (_mask_source(cfg), cfg.spp)
 
-    def _build_mask(self, key: tuple[tuple, SppParams], single: dict[int, StftGrid]) -> SppMask:
+    def _build_mask(self, key: tuple[tuple, SppParams], single: dict, refs: tuple) -> SppMask:
         source, spp = key
         mode, channel = source
         if mode != "oracle":
@@ -194,15 +182,27 @@ class InputAnalysis:
             else:
                 spectrogram = single[channel].channel_slice(0)
             return estimate_spp(spectrogram, spp, source)
-        if self.speech_ref is None or self.noise_ref is None:
+        if None in refs:
             raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
-        mask = make_oracle_mask(
-            _channel_of(self.speech_ref, channel), _channel_of(self.noise_ref, channel), self.params
-        )
+        at_channel = [ref.channel(channel) if ref.n_channels > 1 else ref for ref in refs]
+        mask = make_oracle_mask(*at_channel, self.params)
         shape = self.grid.data.shape[:2]
         if mask.beta.shape != shape:
             raise PipelineError(f"oracle mask shape {mask.beta.shape} does not match grid {shape}")
         return mask
+
+    def _bank(self, cfg: EnhanceConfig) -> tuple[SppMask, FilterBank]:
+        """cfg's mask and filter bank; raises the error its mask key kept."""
+        order, key = self._check(cfg)
+        if key not in self._estimates:
+            raise PipelineError(f"no mask was built for SPP source {key[0]} and {key[1]}")
+        estimate = self._estimates[key]
+        if isinstance(estimate, Exception):
+            raise estimate
+        mask, stats = estimate
+        if order != self.channels:
+            stats = stats.block([self._column[c] for c in order])
+        return mask, build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
 
     def _blocks(self, source: AudioClip | StftGrid):
         """(f0, (bins, b, channels) spectra of frames f0 .. f0 + b - 1): grid
@@ -217,58 +217,61 @@ class InputAnalysis:
             buf[:, :b] = spectra.transpose(2, 1, 0)
             yield f0, buf[:, :b]
 
-    def _filtered(self, source: AudioClip | StftGrid, fb: FilterBank) -> AudioClip:
-        """synthesize(apply_filterbank(grid)) of source, block by block.
-
-        Each block's output goes transposed into one (frames, bins) buffer,
-        so synthesis reads contiguous spectra. A bin's product is the same
-        stacked BLAS call on fewer rows, so the output is bit for bit the
-        whole grid's.
-        """
-        columns = [self._column[c] for c in fb.partition.ordered_channels]
-        out = np.empty((self.grid.n_frames, self.params.n_bins), dtype=np.complex128)
+    def _synthesized(self, source: AudioClip | StftGrid, banks: list[FilterBank]) -> list:
+        """[synthesize(apply_filterbank(grid)) of source under each bank],
+        block by block: one stacked product (bins, b, channels) @ (bins,
+        channels, banks) per block, each bank's frames synthesized into its
+        own output. One bank's product is apply_filterbank's BLAS call on
+        fewer rows, so its output is bit for bit the whole grid's."""
+        params, width = self.params, len(self.channels)
+        columns = [[self._column[c] for c in fb.partition.ordered_channels] for fb in banks]
+        weights = np.stack([_conj_weights(*bank, width) for bank in zip(banks, columns)], axis=-1)
+        overlap = -(-params.fft_size // params.hop)
+        outs = [np.zeros((1, (self.grid.n_frames + overlap - 1) * params.hop)) for _ in banks]
         for f0, block in self._blocks(source):
-            d = apply_filterbank(StftGrid(block, self.params), fb, columns)
-            out[f0 : f0 + d.shape[1]] = d.T
-        return synthesize(StftGrid(out.T[:, :, np.newaxis], self.params, self.grid.n_samples))
+            spectra = block @ weights
+            for j, out in enumerate(outs):
+                synthesize(StftGrid(spectra[:, :, j : j + 1], params), out, f0)
+        return [AudioClip(out[:, : self.grid.n_samples], params.sample_rate_hz) for out in outs]
+
+    def _filtered(self, source: AudioClip | StftGrid, fb: FilterBank) -> AudioClip:
+        return self._synthesized(source, [fb])[0]
+
+    def filter_shadows(self, lanes: int) -> None:
+        """Prepare a run for each constructor config: its bank, built on
+        `lanes` threads, and its shadows, each source filtered for all the
+        banks in one pass. The sources then go; a config whose bank fails
+        is left to its run, which builds it again and raises."""
+
+        def bank(cfg: EnhanceConfig) -> tuple | None:
+            try:
+                return cfg, *self._bank(cfg)
+            except Exception:  # the config's run raises it
+                return None
+
+        runs = [run for run in spread(bank, self._configs, lanes) if run]
+        sources = self.shadow_sources if runs else ()
+        shadows = [self._synthesized(s, [fb for _, _, fb in runs]) for s in sources]
+        for j, (cfg, mask, fb) in enumerate(runs):
+            self._prepared[cfg] = mask, fb, [clips[j] for clips in shadows]
+        self.shadow_sources = ()
 
     def enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
         """The enhance() result for this input under cfg, one of the
-        constructor's configs or one with the same mask key."""
-        order, key = self._check(cfg)
-        if key not in self._estimates:
-            raise PipelineError(f"no mask was built for SPP source {key[0]} and {key[1]}")
-        estimate = self._estimates[key]
-        if isinstance(estimate, Exception):
-            raise estimate
-        mask, stats = estimate
-        if order != self.channels:
-            stats = stats.block([self._column[c] for c in order])
-        fb = build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
-        # built grids leave a sweep cell on its own lane
-        grids = all(isinstance(source, StftGrid) for source in self.shadow_sources)
-        *shadows, enhanced = spread(
-            lambda source: self._filtered(source, fb),
-            [*self.shadow_sources, self.grid],
-            1 if grids else usable_cores(),
-        )
+        constructor's configs or one with the same mask key. A run that
+        filter_shadows prepared is handed out once."""
+        mask, fb, shadows = self._prepared.pop(cfg, None) or (*self._bank(cfg), [])
+        sources = [*self.shadow_sources, self.grid]  # just the grid once filter_shadows ran
+        *filtered, enhanced = spread(lambda s: self._filtered(s, fb), sources, usable_cores())
+        shadows += filtered
+        if len(shadows) == 1:  # the input is speech plus noise
+            shadows.append(AudioClip(enhanced.samples - shadows[0].samples, enhanced.sample_rate_hz))
         shadow_speech, shadow_noise = shadows or (None, None)
-
-        return EnhanceResult(
-            enhanced=enhanced,
-            filterbank=fb,
-            mask=mask,
-            shadow_speech=shadow_speech,
-            shadow_noise=shadow_noise,
-        )
+        return EnhanceResult(enhanced, fb, mask, shadow_speech, shadow_noise)
 
 
-def enhance(
-    clip: AudioClip,
-    cfg: EnhanceConfig,
-    speech_ref: AudioClip | None = None,
-    noise_ref: AudioClip | None = None,
-) -> EnhanceResult:
+def enhance(clip: AudioClip, cfg: EnhanceConfig, speech_ref: AudioClip | None = None,
+            noise_ref: AudioClip | None = None) -> EnhanceResult:
     """Run the full pipeline on a multichannel clip.
 
     speech_ref/noise_ref are optional ground-truth component clips (same

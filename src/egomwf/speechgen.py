@@ -11,12 +11,16 @@ Run ``python -m egomwf.speechgen out.wav`` to write a sample file.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from scipy import signal as sps
 
 from .audio_io import AudioClip, write_wav
 
 _FORMANTS = ((700.0, 130.0), (1220.0, 160.0), (2600.0, 300.0))
+# each (order, band, type, rate) is designed once; sosfilt only reads the result
+_butter = cache(sps.butter)
 
 
 def _resonator(freq: float, bandwidth: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -48,8 +52,8 @@ def _voiced_syllable(dur: float, fs: int, rng: np.random.Generator) -> np.ndarra
     # high bins still carry genuine speech energy
     out += 0.15 * excitation
     breath = rng.standard_normal(n)
-    sos = sps.butter(2, 300.0, btype="highpass", fs=fs, output="sos")
-    out += 0.06 * sps.sosfilt(sos, breath) * np.sqrt(np.mean(out**2))
+    highpass = _butter(2, 300.0, "highpass", fs=fs, output="sos")
+    out += 0.06 * sps.sosfilt(highpass, breath) * np.sqrt(np.mean(out**2))
     env = np.sin(np.pi * np.arange(n) / n) ** 0.7
     return out * env
 
@@ -57,8 +61,7 @@ def _voiced_syllable(dur: float, fs: int, rng: np.random.Generator) -> np.ndarra
 def _fricative(dur: float, fs: int, rng: np.random.Generator) -> np.ndarray:
     n = int(dur * fs)
     noise = rng.standard_normal(n)
-    sos = sps.butter(4, [2000.0, 7500.0], btype="bandpass", fs=fs, output="sos")
-    shaped = sps.sosfilt(sos, noise)
+    shaped = sps.sosfilt(_butter(4, (2000.0, 7500.0), "bandpass", fs=fs, output="sos"), noise)
     env = np.sin(np.pi * np.arange(n) / n)
     return 0.4 * shaped * env
 

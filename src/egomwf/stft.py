@@ -97,24 +97,26 @@ def frame_view(x: np.ndarray, size: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, size, axis=-1)[..., ::hop, :]
 
 
-def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+def overlap_add(
+    frames: np.ndarray, hop: int, out: np.ndarray | None = None, start: int = 0
+) -> np.ndarray:
     """Sum frames (..., F, N) placed hop samples apart: (..., (F-1)*hop + N).
 
     Each output sample adds its frames in increasing frame order, the
     same order as a frame-by-frame loop, so the sums match it bit for bit.
+    Given out (..., whole hops, reshapable without a copy), the frames are
+    added into it from sample start*hop on and out is returned whole.
     """
     n_frames, size = frames.shape[-2:]
     k = -(-size // hop)  # frames overlapping one hop-sized block
-    lead = frames.shape[:-2]
-    if size < k * hop:  # zero-pad each frame to whole hop-sized blocks
-        padded = np.zeros(lead + (n_frames, k * hop))
-        padded[..., :size] = frames
-        frames = padded
-    blocks = frames.reshape(lead + (n_frames, k, hop))
-    out = np.zeros(lead + (n_frames + k - 1, hop))
+    whole = out is None
+    if whole:
+        out = np.zeros(frames.shape[:-2] + ((n_frames + k - 1) * hop,))
+    acc = np.reshape(out, out.shape[:-1] + (-1, hop), copy=False)
     for j in range(k - 1, -1, -1):
-        out[..., j : j + n_frames, :] += blocks[..., j, :]
-    return out.reshape(lead + (-1,))[..., : (n_frames - 1) * hop + size]
+        part = frames[..., j * hop : (j + 1) * hop]
+        acc[..., start + j : start + j + n_frames, : part.shape[-1]] += part
+    return out[..., : (n_frames - 1) * hop + size] if whole else out
 
 
 def _frame_spectra(clip: AudioClip, params: StftParams, channels: Sequence[int], block: int):
@@ -189,17 +191,23 @@ def analyze(
     return StftGrid(spec, params, n_samples=n)
 
 
-def synthesize(grid: StftGrid) -> AudioClip:
+def synthesize(grid: StftGrid, out: np.ndarray | None = None, first: int = 0) -> AudioClip | None:
     """Overlap-add inverse with the matched synthesis window.
 
     Output is trimmed to the analyzed length when the grid records it.
     Perfect reconstruction holds on the COLA-valid interior; the first
     and last (fft_size - hop) samples carry partial window overlap.
+
+    Given out, zeros (channels, (frames + ceil(fft_size / hop) - 1) * hop)
+    for the whole signal, the grid is its block from frame `first` on:
+    the frames are added into out and nothing is returned. Blocks given
+    in frame order sum as the whole grid would, bit for bit.
     """
     params = grid.params
-    nfft, hop = params.fft_size, params.hop
     w = params.window_values()
-    out = overlap_add(np.fft.irfft(grid.data.transpose(2, 1, 0), n=nfft, axis=2) * w, hop)
-    if grid.n_samples is not None:
-        out = out[:, : grid.n_samples]
-    return AudioClip(out, params.sample_rate_hz)
+    frames = np.fft.irfft(grid.data.transpose(2, 1, 0), n=params.fft_size, axis=2) * w
+    if out is not None:
+        overlap_add(frames, params.hop, out, first)
+        return None
+    samples = overlap_add(frames, params.hop)[:, : grid.n_samples]
+    return AudioClip(samples, params.sample_rate_hz)

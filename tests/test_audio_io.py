@@ -51,6 +51,25 @@ def test_32f_roundtrip_bit_exact(tmp_path, rng):
     assert back.sample_rate_hz == 44100
 
 
+@pytest.mark.parametrize("formats", [("32f", "32f"), ("16", "32f"), ("32f", "16")])
+def test_external_row_reads_into_one_c_ordered_clip(tmp_path, rng, formats):
+    """read_wav with an external microphone: the input's rows and the
+    external file's first channel, as separate reads would give them bit
+    for bit, in one C-ordered array; a rate mismatch is an AudioError."""
+    x = rng.uniform(-0.9, 0.9, (3, 500))
+    write_wav(AudioClip(x, 16000), tmp_path / "in.wav", formats[0])
+    write_wav(AudioClip(x[::-1], 16000), tmp_path / "ext.wav", formats[1])
+    clip = read_wav(tmp_path / "in.wav", tmp_path / "ext.wav")
+    apart = read_wav(tmp_path / "in.wav"), read_wav(tmp_path / "ext.wav")
+    rows = np.vstack([apart[0].samples, apart[1].samples[:1]])
+    assert clip.samples.flags.c_contiguous and clip.samples.shape == (4, 500)
+    assert np.array_equal(clip.samples, rows)
+    assert read_wav(tmp_path / "in.wav").samples.flags.c_contiguous
+    write_wav(AudioClip(x, 8000), tmp_path / "slow.wav", "16")
+    with pytest.raises(AudioError, match="rate differs"):
+        read_wav(tmp_path / "in.wav", tmp_path / "slow.wav")
+
+
 def test_silence_file_length(tmp_path):
     write_wav(AudioClip(np.zeros((1, 100)), 16000), tmp_path / "s.wav", "16")
     assert (tmp_path / "s.wav").stat().st_size == 44 + 100 * 2

@@ -805,7 +805,7 @@ def test_cmd_sweep_cell_failure_exit(tmp_path, speech_wav, monkeypatch):
 
     real = cli.run_cell
     def broken(shared, partition, spp_mode, method):
-        if method == "pk-mwf" and shared.scene.manifest["target_snr_db"] == -10.0:
+        if method == "pk-mwf" and shared.manifest["target_snr_db"] == -10.0:
             raise ValueError("injected failure")
         return real(shared, partition, spp_mode, method)
 
@@ -971,6 +971,31 @@ def test_sweep_mask_error_fails_exactly_its_mode(speech_wav, monkeypatch, lanes)
     assert all(r["status"] == "ok" for r in rows if r["spp_mode"] != "oracle")
 
 
+def test_sweep_bank_error_fails_exactly_its_cells(speech_wav, monkeypatch):
+    """A filter bank that raises while the scene prepares its cells fails
+    those cells' rows with its message; the other cells keep their
+    prepared shadows."""
+    import egomwf.cli as cli
+    import egomwf.pipeline
+    from egomwf.filters import FilterError
+
+    real = egomwf.pipeline.build_filterbank
+
+    def singular(stats, partition, method, delta):
+        if method == "mwf":
+            raise FilterError("singular noise-reference Gram matrix")
+        return real(stats, partition, method, delta)
+
+    monkeypatch.setattr(egomwf.pipeline, "build_filterbank", singular)
+    monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
+    rows = cli._run_scene_group(_short_scene_cfg(speech_wav), 2)
+    failed = [r for r in rows if r["method"] == "mwf"]
+    assert len(failed) == 3
+    assert all(r["status"] == "failed: singular noise-reference Gram matrix" for r in failed)
+    assert all(r["status"] == "ok" and r["snr_out_db"] is not None
+               for r in rows if r["method"] != "mwf")
+
+
 def test_scene_group_error_stops_cells_not_started(speech_wav, monkeypatch):
     """A cell raising a non-processing error ends the scene group: the
     cells not yet started never run, on one lane or two."""
@@ -1065,6 +1090,28 @@ def test_scene_group_builds_shared_work_once_on_many_lanes(speech_wav, monkeypat
         sys.setswitchinterval(interval)
     assert crowded == serial
     assert sorted(calls) == ["estimate_correlations"] * len(SPP_MODES) + ["score_input"]
+
+
+def test_scene_group_frees_component_grids_and_images(speech_wav):
+    """A 2 s scene's 27 cells peak at 44 MB traced: the mixture grid, the
+    speech image while its pass runs, the cells' speech shadows and the
+    pass's block buffers. Holding a 16-channel grid of a component (8.2
+    MB) or the mixture and noise images (8.7 MB) through that pass, as
+    before the shadows were filtered straight from the speech image,
+    lifts the peak past the 48 MB bound."""
+    import tracemalloc
+
+    import egomwf.cli as cli
+
+    scene_cfg = SceneConfig(speech_wav, target_snr_db=-10.0, seed=0, duration_s=2.0)
+    tracemalloc.start()
+    try:
+        rows = cli._run_scene_group(scene_cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r["status"] == "ok" for r in rows)
+    assert peak < 48e6, peak
 
 
 def test_scene_group_stft_count_does_not_grow_with_cells(speech_wav, monkeypatch):

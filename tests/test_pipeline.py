@@ -285,38 +285,100 @@ def test_external_spp_outside_filter_channels_matches_full_grid(default_scene, m
     assert sorted(calls) == [1, 4]
 
 
-def test_component_grids_from_worker_match_inline_analysis(default_scene):
-    """Two configs build component grids on the worker; their shadows equal
-    the inline analysis and a single run's grid-free shadows bit for bit."""
-    from egomwf.pipeline import InputAnalysis
+def _inline_shadow(ref, fb, params):
+    """synthesize(apply_filterbank(analyze(ref))) on the 16 embedded channels."""
     from egomwf.stft import synthesize
 
+    grid = analyze(ref, params, range(16))
+    d = apply_filterbank(grid, fb, fb.partition.ordered_channels)
+    return synthesize(StftGrid(d[:, :, None], params, grid.n_samples)).samples
+
+
+def test_prepared_shadows_match_single_runs(default_scene):
+    """filter_shadows filters the speech image once for both configs: each
+    prepared run's output equals a single run's bit for bit, its speech
+    shadow the single run's within 1e-12 relative (one stacked product
+    instead of one per bank), and its noise shadow is the output less it."""
+    from egomwf.pipeline import InputAnalysis
+
     part = ChannelPartition(tuple(range(12)), (12, 13, 14, 15), 0)
-    cfg = EnhanceConfig(partition=part, spp_mode="oracle", method="pk-mwf")
-    other = replace(cfg, method="mwf-with-noise-mics")
+    configs = [EnhanceConfig(partition=part, spp_mode="oracle", method=m)
+               for m in ("pk-mwf", "mwf-with-noise-mics")]
     scene = default_scene
     analysis = InputAnalysis(
-        scene.mixture, cfg.stft, scene.speech_image, scene.noise_image, range(16), [cfg, other]
+        scene.mixture, StftParams(), scene.speech_image, scene.noise_image, range(16), configs
     )
-    result = analysis.enhance(cfg)
-    order = list(part.ordered_channels)
-    for worker_grid, ref, shadow in (
-        (analysis.shadow_sources[0], scene.speech_image, result.shadow_speech),
-        (analysis.shadow_sources[1], scene.noise_image, result.shadow_noise),
-    ):
-        inline = analyze(ref, cfg.stft, range(16))
-        assert np.array_equal(worker_grid.data, inline.data)
-        d = apply_filterbank(inline, result.filterbank, order)
-        expected = synthesize(StftGrid(d[:, :, None], inline.params, inline.n_samples))
-        assert np.array_equal(shadow.samples, expected.samples)
-    single = InputAnalysis(
-        scene.mixture, cfg.stft, scene.speech_image, scene.noise_image, range(16), [cfg]
+    assert len(analysis.shadow_sources) == 1 and analysis.shadow_sources[0] is scene.speech_image
+    analysis.filter_shadows(2)
+    assert analysis.shadow_sources == ()
+    for cfg in configs:
+        prepared = analysis.enhance(cfg)
+        alone = enhance(scene.mixture, cfg, scene.speech_image, scene.noise_image)
+        assert np.array_equal(prepared.filterbank.weights, alone.filterbank.weights)
+        assert np.array_equal(prepared.enhanced.samples, alone.enhanced.samples)
+        expected = _inline_shadow(scene.speech_image, alone.filterbank, cfg.stft)
+        assert np.array_equal(alone.shadow_speech.samples, expected)
+        gap = np.linalg.norm(prepared.shadow_speech.samples - expected)
+        assert gap <= 1e-12 * np.linalg.norm(expected)
+        for run in (prepared, alone):
+            rest = run.enhanced.samples - run.shadow_speech.samples
+            assert np.array_equal(run.shadow_noise.samples, rest)
+    # a prepared run is handed out once; the sources are gone after the pass
+    again = analysis.enhance(configs[0])
+    assert again.shadow_speech is None and again.shadow_noise is None
+
+
+def test_noise_shadow_by_linearity_only_when_the_sum_is_exact(default_scene):
+    """References one ulp off the input in one sample get three filtered
+    outputs, each the whole-grid filtering of its own component bit for bit."""
+    from egomwf.pipeline import InputAnalysis
+
+    scene = default_scene
+    cfg = EnhanceConfig(partition=suite_partition(8), spp_mode="oracle", method="pk-mwf")
+    noise = scene.noise_image.samples.copy()
+    noise[13, 4321] = np.nextafter(noise[13, 4321], np.inf)
+    bent = AudioClip(noise, scene.noise_image.sample_rate_hz)
+    summed = InputAnalysis(scene.mixture, cfg.stft, scene.speech_image, scene.noise_image,
+                           range(16), [cfg])
+    assert summed.shadow_sources == (scene.speech_image,)
+    apart = InputAnalysis(scene.mixture, cfg.stft, scene.speech_image, bent, range(16), [cfg])
+    assert apart.shadow_sources == (scene.speech_image, bent)
+    result = apart.enhance(cfg)
+    assert np.array_equal(result.enhanced.samples, summed.enhance(cfg).enhanced.samples)
+    for ref, shadow in ((scene.speech_image, result.shadow_speech), (bent, result.shadow_noise)):
+        assert np.array_equal(shadow.samples, _inline_shadow(ref, result.filterbank, cfg.stft))
+
+
+def test_input_analysis_holds_no_component_grid(default_scene):
+    """Several configs: before and after the shadow pass, the only grids an
+    InputAnalysis holds are the mixture grid (no component grid beside it)."""
+    from egomwf.pipeline import InputAnalysis
+
+    def grids(obj, seen):
+        if id(obj) in seen:
+            return []
+        seen.add(id(obj))
+        if isinstance(obj, StftGrid):
+            return [obj]
+        if isinstance(obj, dict):
+            obj = [*obj.keys(), *obj.values()]
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            obj = list(vars(obj).values())
+        if isinstance(obj, (list, tuple)):
+            return [g for item in obj for g in grids(item, seen)]
+        return []
+
+    scene = default_scene
+    ext = scene.manifest["channels"]["external"]
+    configs = [EnhanceConfig(partition=suite_partition(m), spp_mode=mode, method="pk-mwf",
+                             spp_channel=ext if mode == "external" else None)
+               for m in (4, 12) for mode in ("oracle", "external")]
+    analysis = InputAnalysis(
+        scene.mixture, StftParams(), scene.speech_image, scene.noise_image, range(16), configs
     )
-    assert single.shadow_sources == (scene.speech_image, scene.noise_image)
-    alone = single.enhance(cfg)
-    for a, b in ((alone.enhanced, result.enhanced), (alone.shadow_speech, result.shadow_speech),
-                 (alone.shadow_noise, result.shadow_noise)):
-        assert np.array_equal(a.samples, b.samples)
+    assert [g is analysis.grid for g in grids(analysis, set())] == [True]
+    analysis.filter_shadows(1)
+    assert [g is analysis.grid for g in grids(analysis, set())] == [True]
 
 
 @pytest.mark.parametrize("channels", [(5,), (9, 2, 14, 0), tuple(range(16))])

@@ -168,6 +168,22 @@ def test_synthesize_matches_loop_overlap_add(rng):
     assert np.array_equal(synthesize(grid).samples, ref[:, :3000])
 
 
+@pytest.mark.parametrize("nfft, hop, block", [(512, 256, 32), (16, 4, 3), (16, 5, 2), (16, 16, 1)])
+def test_blockwise_synthesis_matches_whole_grid(rng, nfft, hop, block):
+    """Frames synthesized block by block into one buffer, in frame order,
+    sum bit for bit as the whole grid, also where more than two frames
+    overlap a sample."""
+    params = StftParams(fft_size=nfft, hop=hop)
+    n = 11 * hop + nfft // 2 + 1
+    grid = analyze(AudioClip(rng.standard_normal((2, n)), 16000), params)
+    out = np.zeros((2, (grid.n_frames + -(-nfft // hop) - 1) * hop))
+    for f0 in range(0, grid.n_frames, block):
+        part = StftGrid(grid.data[:, f0 : f0 + block], params)
+        assert synthesize(part, out, f0) is None
+    assert np.array_equal(out[:, :n], synthesize(grid).samples)
+    assert not np.any(out[:, (grid.n_frames - 1) * hop + nfft :])
+
+
 def test_analyze_grid_is_c_contiguous(rng):
     grid = analyze(AudioClip(rng.standard_normal((3, 4000)), 16000))
     assert grid.data.flags.c_contiguous
