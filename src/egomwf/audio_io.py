@@ -68,6 +68,8 @@ _FULL_SCALE = {
     np.dtype(np.float32): 1.0,
     np.dtype(np.float64): 1.0,
 }
+# frames per transposing copy in read_wav, small enough to stay in cache
+_READ_CHUNK = 4096
 
 
 def read_wav(path: str | Path, external: str | Path | None = None) -> AudioClip:
@@ -77,7 +79,7 @@ def read_wav(path: str | Path, external: str | Path | None = None) -> AudioClip:
     disk is preserved as row order in memory. With external, the first
     channel of that WAV (an external microphone of the same rate and
     length) is one more row. Each file is cast (and scaled) straight into
-    its rows of one C-ordered array.
+    its rows of one C-ordered array, _READ_CHUNK frames at a time.
     """
     files = []
     for source in (path,) if external is None else (path, external):
@@ -104,10 +106,10 @@ def read_wav(path: str | Path, external: str | Path | None = None) -> AudioClip:
     parts = [data, *(ext[:, :1] for _, ext in extra)]
     samples = np.empty((sum(part.shape[1] for part in parts), len(data)))
     for part, rows in zip(parts, np.split(samples, [data.shape[1]])):
-        if _FULL_SCALE[part.dtype] == 1.0:  # float data: dividing by one would cost a pass
-            rows[...] = part.T
-        else:
-            np.divide(part.T, _FULL_SCALE[part.dtype], out=rows)
+        for f0 in range(0, len(data), _READ_CHUNK):
+            rows[:, f0 : f0 + _READ_CHUNK] = part[f0 : f0 + _READ_CHUNK].T
+        if _FULL_SCALE[part.dtype] != 1.0:  # float data: dividing by one would cost a pass
+            rows /= _FULL_SCALE[part.dtype]
     return AudioClip(samples, rate)
 
 

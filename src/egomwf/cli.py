@@ -6,17 +6,16 @@ JSON for configs and reports, CSV for the sweep table. The enhance
 config file holds processing settings only; every file path comes from a
 flag. The evaluate report is metrics.score_input on the clean/noisy pair
 followed by metrics.score_output on the processed file. The sweep runs
-one scene per seed and SNR, in --workers processes (by default
-min(4, cores in the affinity mask)), and on each scene every array size
-x SPP mode x method.
+one scene per seed and SNR, one after another in this process, and on
+each scene every array size x SPP mode x method.
 
 Before a scene's cells start, SharedScene builds what they share: the
 mixture's STFT grid on the 16 array and propeller channels, one mask
 and covariance per SPP mode, the input scores, each cell's filter bank
 and the speech image filtered for all cells in one pass. A failure there
 fails exactly the cells it serves. A scene holds BLAS at one thread; its
-cells run on one thread per usable core (a pool worker's, or those of a
-scene whose pin does not take, on one).
+cells run on one thread per usable core (those of a scene whose pin does
+not take, on one).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .scenegen import (
     SceneError,
     render_scene,
     spread,
-    spread_processes,
     suite_partition,
     usable_cores,
     write_scene,
@@ -170,8 +168,8 @@ def _cell_config(ext: int, partition: ChannelPartition, spp_mode: str, method: s
 class SharedScene:
     """A scene's manifest and the work its sweep cells share, all built on
     construction: the input scores, the mixture analysis, and each cell's
-    filter bank and speech shadow (banks on `lanes` threads). The rendered
-    images go as soon as what needs them exists."""
+    filter bank and speech shadow (banks on `lanes` threads, the caller's
+    among them). The rendered images go as soon as what needs them exists."""
 
     def __init__(self, scene_cfg: SceneConfig, cells: list[tuple], lanes: int):
         scene = render_scene(scene_cfg)
@@ -220,7 +218,7 @@ def _one_blas_thread():
         set_(old)
 
 
-def _run_scene_group(scene_cfg: SceneConfig, lanes: int = 1) -> list[dict]:
+def _run_scene_group(scene_cfg: SceneConfig, lanes: int) -> list[dict]:
     """Render one scene and run every array size x SPP mode x method on it,
     on `lanes` threads counting the caller; rows come back in product order."""
     cells = list(product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
@@ -255,18 +253,6 @@ CSV_COLUMNS = [
 ]
 
 
-def _sweep_workers(workers: int | None) -> int:
-    """The sweep's worker count: `workers` when given, else min(4, usable cores).
-
-    Raises ValueError on a count below 1.
-    """
-    if workers is None:
-        return min(4, usable_cores())
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def run_sweep(
     speech_path: str,
     seeds: list[int],
@@ -274,14 +260,12 @@ def run_sweep(
     snrs: tuple[float, ...] = DEFAULT_SNRS_DB,
     workers: int | None = None,
 ) -> list[dict]:
-    """The full grid for every seed and SNR; rows come back in deterministic order."""
+    """The full grid for every seed and SNR, one scene at a time on every
+    usable core; rows come back in deterministic order. `workers` is
+    ignored; the next benchmark change stops passing it and removes it."""
     tasks = [SceneConfig(speech_path, target_snr_db=float(snr), seed=seed, duration_s=duration_s)
              for seed in seeds for snr in snrs]
-    workers = _sweep_workers(workers)
-    if workers > 1 and len(tasks) > 1:
-        grouped = spread_processes(_run_scene_group, tasks, workers)
-    else:
-        grouped = [_run_scene_group(t, usable_cores()) for t in tasks]
+    grouped = [_run_scene_group(t, usable_cores()) for t in tasks]
     rows = [row for group in grouped for row in group]
     rows.sort(key=lambda r: (r["seed"], r["snr_db"], r["m_speech_noise"], r["spp_mode"], r["method"]))
     return rows
@@ -310,12 +294,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         return _fail_config(f"bad --seeds list: {args.seeds!r}")
-    try:
-        workers = _sweep_workers(args.workers)
-    except ValueError as exc:
-        return _fail_config(str(exc))
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        return _fail_config(f"bad --seeds list: {args.seeds!r} (need distinct seeds >= 0)")
     t0 = time.perf_counter()
-    rows = run_sweep(args.speech, seeds, duration_s=args.duration, workers=workers)
+    rows = run_sweep(args.speech, seeds, duration_s=args.duration)
     elapsed = time.perf_counter() - t0
     write_sweep_outputs(rows, Path(args.output_dir))
     failures = [r for r in rows if r["status"] != "ok"]
@@ -367,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speech", required=True)
     p.add_argument("--seeds", default="0")
     p.add_argument("--duration", type=float)
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_sweep)
     return parser
 

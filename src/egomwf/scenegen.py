@@ -8,8 +8,8 @@ mics, and an EXTERNAL_MIC 0.2 m above the source. Every scene carries
 exact per-channel speech/noise components; make_oracle_mask turns the
 reference channel's components into an oracle activity mask.
 DEFAULT_SNRS_DB, DEFAULT_ARRAY_SIZES and suite_partition define the
-sweep's scenes and partitions; spread and spread_processes fan its work
-out over the package's threads and processes.
+sweep's scenes and partitions; spread fans its work out over threads,
+the one way the package starts any.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,12 +94,6 @@ def spread(fn, items, threads: int) -> list:
     return out
 
 
-def spread_processes(fn, items, workers: int) -> list:
-    """[fn(x) for x in items] on `workers` processes; fn and items must pickle."""
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True, eq=False)
 class SceneConfig:
     speech_path: str
@@ -133,8 +127,8 @@ class SceneConfig:
         for name, value in vars(self).items():
             if name.endswith("_db") and not finite(value):
                 raise SceneError(f"{name} must be a finite number, got {value!r}")
-        if type(self.seed) is not int:
-            raise SceneError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise SceneError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.duration_s is not None and not 0 < self.duration_s < math.inf:
             raise SceneError(f"duration must be finite and positive, got {self.duration_s}")
         if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:

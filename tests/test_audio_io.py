@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from egomwf.audio_io import AudioClip, AudioError, read_wav, resample, write_wav
+from egomwf.audio_io import _READ_CHUNK, AudioClip, AudioError, read_wav, resample, write_wav
 
 
 def test_roundtrip_shape_and_rate(tmp_path, rng):
@@ -49,6 +49,20 @@ def test_32f_roundtrip_bit_exact(tmp_path, rng):
     back = read_wav(tmp_path / "f.wav")
     assert np.array_equal(back.samples, x)
     assert back.sample_rate_hz == 44100
+
+
+@pytest.mark.parametrize("dtype, full_scale", [(np.int16, 2.0**15), (np.float32, 1.0)])
+def test_chunked_read_matches_whole_file_conversion(tmp_path, rng, dtype, full_scale):
+    """read_wav converts a file chunk by chunk; a length that is no multiple
+    of the chunk, with an external row, reads back bit for bit as the
+    whole-file data.T / full_scale."""
+    n = 3 * _READ_CHUNK + 123
+    data = rng.uniform(-0.9, 0.9, (n, 5)) * (32767 if dtype is np.int16 else 1)
+    data = data.astype(dtype)
+    wavfile.write(tmp_path / "c.wav", 16000, data)
+    assert np.array_equal(read_wav(tmp_path / "c.wav").samples, data.T / full_scale)
+    both = read_wav(tmp_path / "c.wav", tmp_path / "c.wav").samples
+    assert np.array_equal(both, np.vstack([data.T, data.T[:1]]) / full_scale)
 
 
 @pytest.mark.parametrize("formats", [("32f", "32f"), ("16", "32f"), ("32f", "16")])

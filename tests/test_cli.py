@@ -535,6 +535,8 @@ def test_cmd_simulate_deterministic_bytes(tmp_path, speech_wav):
         {"rotor_speeds_rpm": [float("nan"), 3920.0, 4040.0, 3960.0]},
         {"rotor_speeds_rpm": [float("inf"), 3920.0, 4040.0, 3960.0]},
         {"rotor_speeds_rpm": [True, 3920.0, 4040.0, 3960.0]},
+        # a seed numpy's generators cannot take
+        {"seed": -1},
     ],
 )
 def test_cmd_simulate_malformed_scene_config_exit_2(tmp_path, speech_wav, capsys, raw):
@@ -572,7 +574,7 @@ def test_cmd_simulate_render_error_exit_3(tmp_path, capsys):
 def test_cmd_bad_duration_exit_2(tmp_path, speech_wav, capsys, command, duration):
     scene_cfg = tmp_path / "scene.json"
     scene_cfg.write_text(json.dumps({"seed": 1}))
-    extra = {"simulate": ["--scene-config", str(scene_cfg)], "sweep": ["--workers", "1"]}
+    extra = {"simulate": ["--scene-config", str(scene_cfg)], "sweep": []}
     code = main(
         [command, "--output-dir", str(tmp_path / "out"), "--speech", speech_wav,
          "--duration", duration, *extra[command]]
@@ -716,7 +718,7 @@ def test_cmd_evaluate_missing_file_exit_3(tmp_path):
 
 @pytest.fixture(scope="module")
 def short_sweep(speech_wav):
-    return run_sweep(speech_wav, seeds=[0], duration_s=2.0, workers=1)
+    return run_sweep(speech_wav, seeds=[0], duration_s=2.0)
 
 
 def test_sweep_produces_all_cells(short_sweep):
@@ -727,7 +729,7 @@ def test_sweep_produces_all_cells(short_sweep):
 
 
 def test_run_sweep_runs_every_snr_given(speech_wav, short_sweep):
-    rows = run_sweep(speech_wav, seeds=[0], duration_s=2.0, snrs=(5.0,), workers=1)
+    rows = run_sweep(speech_wav, seeds=[0], duration_s=2.0, snrs=(5.0,))
     assert len(rows) == 27
     assert all(r["snr_db"] == 5.0 and r["status"] == "ok" for r in rows)
     key_fields = ("seed", "snr_db", "m_speech_noise", "m_noise_only", "spp_mode", "method")
@@ -749,17 +751,12 @@ def test_sweep_outputs_and_shape(tmp_path, short_sweep):
 
 
 def test_sweep_deterministic(speech_wav, short_sweep, tmp_path):
-    again = run_sweep(speech_wav, seeds=[0], duration_s=2.0, workers=1)
+    again = run_sweep(speech_wav, seeds=[0], duration_s=2.0)
     a, b = tmp_path / "a", tmp_path / "b"
     write_sweep_outputs(short_sweep, a)
     write_sweep_outputs(again, b)
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
     assert (a / "results.json").read_bytes() == (b / "results.json").read_bytes()
-
-
-def test_sweep_parallel_matches_serial(speech_wav, short_sweep):
-    parallel = run_sweep(speech_wav, seeds=[0], duration_s=2.0, workers=3)
-    assert parallel == short_sweep
 
 
 def test_cmd_sweep(tmp_path, speech_wav):
@@ -769,34 +766,31 @@ def test_cmd_sweep(tmp_path, speech_wav):
             "--output-dir", str(tmp_path / "sw"),
             "--speech", speech_wav,
             "--duration", "2.0",
-            "--workers", "2",
         ]
     )
     assert code == 0
     assert (tmp_path / "sw" / "results.csv").exists()
 
 
-def test_cmd_sweep_bad_seeds(tmp_path, speech_wav):
+@pytest.mark.parametrize("seeds", ["x,y", "-1", "0,0"])
+def test_cmd_sweep_bad_seeds(tmp_path, speech_wav, capsys, seeds):
+    """A seed list that is not distinct integers >= 0 exits 2 before any render."""
     code = main(
-        ["sweep", "--output-dir", str(tmp_path), "--speech", speech_wav, "--seeds", "x,y"]
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_cmd_sweep_bad_workers_exit_2(tmp_path, speech_wav, capsys, workers):
-    code = main(
-        [
-            "sweep",
-            "--output-dir", str(tmp_path / "sw"),
-            "--speech", speech_wav,
-            "--duration", "2.0",
-            "--workers", workers,
-        ]
+        ["sweep", "--output-dir", str(tmp_path / "sw"), "--speech", speech_wav, "--seeds", seeds]
     )
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and workers in err[0]
+    assert len(err) == 1 and err[0].startswith("error: bad --seeds")
+    assert not (tmp_path / "sw").exists()
+
+
+def test_cmd_sweep_workers_flag_usage_error(tmp_path, speech_wav, capsys):
+    """The sweep runs in one process; there is no --workers flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--output-dir", str(tmp_path / "sw"), "--speech", speech_wav,
+              "--workers", "2"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
 
 
@@ -816,7 +810,6 @@ def test_cmd_sweep_cell_failure_exit(tmp_path, speech_wav, monkeypatch):
             "--output-dir", str(tmp_path / "sw"),
             "--speech", speech_wav,
             "--duration", "2.0",
-            "--workers", "1",
         ]
     )
     assert code == 3
@@ -860,20 +853,10 @@ def test_sweep_marks_package_error_row_failed(speech_wav, monkeypatch):
 
     monkeypatch.setattr(cli, "run_cell", broken)
     monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
-    rows = cli._run_scene_group(SceneConfig(speech_wav, target_snr_db=-20.0, duration_s=2.0))
+    rows = cli._run_scene_group(SceneConfig(speech_wav, target_snr_db=-20.0, duration_s=2.0), 1)
     assert len(rows) == 9
     assert rows[0]["status"] == "failed: singular noise-reference Gram matrix"
     assert all(r["status"] == "ok" for r in rows[1:])
-
-
-def test_sweep_workers_default_follows_affinity_mask(monkeypatch):
-    import os
-
-    import egomwf.cli as cli
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert cli._sweep_workers(None) == 1
-    assert cli._sweep_workers(3) == 3
 
 
 # ------------------------------------------------------------- BLAS threads
@@ -894,7 +877,7 @@ def _blas_threads() -> int:
 
 
 def _nine_cell_sweep(speech_wav):
-    return run_sweep(speech_wav, seeds=[0], duration_s=2.0, snrs=(-10.0,), workers=1)
+    return run_sweep(speech_wav, seeds=[0], duration_s=2.0, snrs=(-10.0,))
 
 
 def test_sweep_cells_run_on_one_blas_thread_and_restore_it(speech_wav, monkeypatch):
@@ -1038,7 +1021,7 @@ def test_scene_group_rows_match_per_cell_path(speech_wav):
     from egomwf.pipeline import enhance
 
     scene_cfg = _short_scene_cfg(speech_wav)
-    rows = cli._run_scene_group(scene_cfg)
+    rows = cli._run_scene_group(scene_cfg, 1)
     scene = render_scene(scene_cfg)
     ext = scene.manifest["channels"]["external"]
     cells = list(product(cli.DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
@@ -1134,7 +1117,7 @@ def test_scene_group_stft_count_does_not_grow_with_cells(speech_wav, monkeypatch
     for sizes in ((4,), (4, 8, 12)):
         monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", sizes)
         calls.clear()
-        rows = cli._run_scene_group(scene_cfg)
+        rows = cli._run_scene_group(scene_cfg, 1)
         assert len(rows) == 9 * len(sizes)
         assert all(r["status"] == "ok" for r in rows)
         counts.append(len(calls))

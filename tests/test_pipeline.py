@@ -481,50 +481,3 @@ def test_reference_length_is_checked_after_resampling(default_scene):
     result = enhance(up, cfg, default_scene.speech_image, default_scene.noise_image)
     assert result.shadow_speech.n_frames == result.enhanced.n_frames
 
-
-_FORK_AFTER_ENHANCE = """
-import sys
-from egomwf import speechgen
-from egomwf.audio_io import write_wav
-from egomwf.cli import run_sweep
-from egomwf.config import EnhanceConfig
-from egomwf.pipeline import enhance
-from egomwf.scenegen import SceneConfig, render_scene, suite_partition
-
-speech = sys.argv[1]
-write_wav(speechgen.speech_like(2.0, 16000, 4), speech, "32f")
-scene = render_scene(SceneConfig(speech_path=speech, seed=4, duration_s=2.0))
-cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="oracle", method="pk-mwf")
-result = enhance(scene.mixture, cfg, scene.speech_image, scene.noise_image)
-assert result.shadow_speech is not None
-rows = run_sweep(speech, [4], duration_s=2.0, snrs=(-10.0, 0.0), workers=2)
-assert len(rows) == 54 and all(r["status"] == "ok" for r in rows)
-print("done")
-"""
-
-
-def test_sweep_pool_forked_after_shadow_enhance_finishes(tmp_path):
-    """The component worker leaves nothing behind that a forked sweep
-    worker could wait on."""
-    import os
-    import signal
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    # its own session, so a hang can be ended with the pool workers it forked
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _FORK_AFTER_ENHANCE, str(tmp_path / "speech.wav")],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=300)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("enhance followed by a forked sweep did not finish in 300 s")
-    assert proc.returncode == 0, err
-    assert out.strip() == "done"
