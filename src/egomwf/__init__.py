@@ -14,13 +14,7 @@ from .filters import ChannelPartition, FilterBank, build_filterbank, compute_gsc
 from .gevd import PencilDecomposition, gevd
 from .metrics import MetricsReport, evaluate, snr_db, stoi
 from .pipeline import EnhanceResult, apply_filterbank, enhance
-from .scenegen import (
-    SceneConfig,
-    SceneOutput,
-    render_scene,
-    steering_delay_gain,
-    synth_ego_noise,
-)
+from .scenegen import SceneConfig, SceneOutput, render_scene, steering_delay_gain, synth_ego_noise
 from .spp import SppMask, SppParams, estimate_spp
 from .stft import StftGrid, StftParams, analyze, synthesize
 

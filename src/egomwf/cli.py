@@ -24,11 +24,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from contextlib import contextmanager
-from ctypes import CDLL, c_int
 from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
@@ -39,17 +36,8 @@ from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition
 from .metrics import score_input, score_output
 from .pipeline import EnhanceResult, InputAnalysis, PipelineError, enhance
-from .scenegen import (
-    DEFAULT_ARRAY_SIZES,
-    DEFAULT_SNRS_DB,
-    SceneConfig,
-    SceneError,
-    render_scene,
-    spread,
-    suite_partition,
-    usable_cores,
-    write_scene,
-)
+from .scenegen import DEFAULT_ARRAY_SIZES, DEFAULT_SNRS_DB, SceneConfig, SceneError, one_blas_thread
+from .scenegen import render_scene, spread, suite_partition, usable_cores, write_scene
 from .spp import SPP_MODES
 from .stft import StftParams
 
@@ -196,33 +184,11 @@ def run_cell(shared: SharedScene, partition: ChannelPartition, spp_mode: str, me
     return scores
 
 
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread; yields whether the count reads
-    back 1, and restores the old count (one enhance is faster on more).
-    dlsym on numpy's extension also searches the libraries it loaded."""
-    try:
-        from numpy._core import _multiarray_umath
-
-        lib = CDLL(_multiarray_umath.__file__, mode=os.RTLD_NOLOAD)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):  # another BLAS: the count reads 0
-        get, set_ = (lambda: 0), (lambda count: None)
-    else:
-        get.argtypes, get.restype, set_.argtypes, set_.restype = [], c_int, [c_int], None
-    old = get()
-    set_(1)
-    try:
-        yield get() == 1
-    finally:
-        set_(old)
-
-
 def _run_scene_group(scene_cfg: SceneConfig, lanes: int) -> list[dict]:
     """Render one scene and run every array size x SPP mode x method on it,
     on `lanes` threads counting the caller; rows come back in product order."""
     cells = list(product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
-    with _one_blas_thread() as pinned:
+    with one_blas_thread() as pinned:
         lanes = lanes if pinned else 1
         shared = SharedScene(scene_cfg, cells, lanes)
 

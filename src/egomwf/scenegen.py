@@ -9,15 +9,20 @@ exact per-channel speech/noise components; make_oracle_mask turns the
 reference channel's components into an oracle activity mask.
 DEFAULT_SNRS_DB, DEFAULT_ARRAY_SIZES and suite_partition define the
 sweep's scenes and partitions; spread fans its work out over threads,
-the one way the package starts any.
+the one way the package starts any, and one_blas_thread keeps BLAS from
+starting more. render_scene runs the rotors on the lanes, then blocked
+delay products by time block, then the surrogate rows.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from ctypes import CDLL, c_int
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,12 +32,15 @@ from .audio_io import AudioClip, read_wav, resample, write_wav
 from .errors import EgomwfError
 from .filters import ChannelPartition
 from .spp import SppMask
-from .stft import StftParams, analyze
+from .stft import StftParams, analyze, frame_view
 
 SPEED_OF_SOUND = 343.0
 N_ARRAY_MICS = 12
 N_ROTORS = 4
 DELAY_FILTER_TAPS = 32
+# fixed block sizes (delay products, partial phases): no sample depends on the lane count
+DELAY_BLOCK = 4096
+NOISE_BLOCK = 8192
 
 
 class SceneError(EgomwfError):
@@ -94,6 +102,37 @@ def spread(fn, items, threads: int) -> list:
     return out
 
 
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread; yields whether the count reads
+    back 1, and restores the old count (one enhance is faster on more).
+    dlsym on numpy's extension also searches the libraries it loaded."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = CDLL(_multiarray_umath.__file__, mode=os.RTLD_NOLOAD)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):  # another BLAS: the count reads 0
+        get, set_ = (lambda: 0), (lambda count: None)
+    else:
+        get.argtypes, get.restype, set_.argtypes, set_.restype = [], c_int, [c_int], None
+    old = get()
+    set_(1)
+    try:
+        yield get() == 1
+    finally:
+        set_(old)
+
+
+def _n_partials(rpm: float, rate_hz: int) -> int:
+    """Blade-pass partials (two blades, at most 20) whose +5% jitter stays
+    below 0.95 x Nyquist; a SceneError unless rpm is finite, > 0 and leaves one."""
+    f0 = 2.0 * rpm / 60.0
+    if not 0 < f0 < math.inf or f0 * 1.05 >= 0.95 * rate_hz / 2:
+        raise SceneError(f"rotor speed {rpm} rpm: not > 0, or no partial below 0.95 x Nyquist")
+    return sum(k * f0 * 1.05 < 0.95 * rate_hz / 2 for k in range(1, 21))
+
+
 @dataclass(frozen=True, eq=False)
 class SceneConfig:
     speech_path: str
@@ -122,8 +161,6 @@ class SceneConfig:
 
         if len(self.rotor_speeds_rpm) != N_ROTORS:
             raise SceneError(f"need {N_ROTORS} rotor speeds, got {len(self.rotor_speeds_rpm)}")
-        if not all(finite(r) and r > 0 for r in self.rotor_speeds_rpm):
-            raise SceneError(f"rotor speeds must be finite and > 0, got {self.rotor_speeds_rpm}")
         for name, value in vars(self).items():
             if name.endswith("_db") and not finite(value):
                 raise SceneError(f"{name} must be a finite number, got {value!r}")
@@ -133,6 +170,10 @@ class SceneConfig:
             raise SceneError(f"duration must be finite and positive, got {self.duration_s}")
         if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:
             raise SceneError(f"sample rate must be an integer > 0, got {self.sample_rate_hz!r}")
+        if not all(finite(r) for r in self.rotor_speeds_rpm):
+            raise SceneError(f"rotor speeds must be finite and > 0, got {self.rotor_speeds_rpm}")
+        for r in self.rotor_speeds_rpm:
+            _n_partials(r, self.sample_rate_hz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,47 +184,51 @@ class SceneOutput:
     manifest: dict
 
 
-def steering_delay_gain(
-    src: np.ndarray, mic: np.ndarray, rate_hz: int, ref_distance: float = 1.0
-) -> tuple[float, float]:
-    """Free-field propagation delay (fractional samples) and 1/r gain.
+def steering_delay_gain(src, mic, rate_hz: int, ref_distance: float = 1.0):
+    """Free-field propagation delay (fractional samples) and 1/r gain from
+    src to mic, or to each row of an (m, 3) array of mics.
 
     The gain is normalized so a microphone at ref_distance gets 1.
     """
-    src = np.asarray(src, dtype=float)
-    mic = np.asarray(mic, dtype=float)
-    dist = float(np.linalg.norm(src - mic))
-    if dist <= 0:
+    dist = np.linalg.norm(np.asarray(mic, dtype=float) - np.asarray(src, dtype=float), axis=-1)
+    if np.any(dist <= 0):
         raise SceneError("source and microphone positions coincide")
-    delay = dist / SPEED_OF_SOUND * rate_hz
-    return delay, ref_distance / dist
+    return dist / SPEED_OF_SOUND * rate_hz, ref_distance / dist
 
 
-def fractional_delay(x: np.ndarray, delay: float) -> np.ndarray:
-    """Delay a signal by a non-integer number of samples.
+def fractional_delay(x, delay, gain=1.0, out: np.ndarray | None = None, lanes: int = 1):
+    """Delay a signal by one or many non-integer numbers of samples.
 
-    Windowed-sinc interpolation; output has the input's length, with the
-    head zero-filled for delays beyond the filter's lookahead.
+    Windowed-sinc interpolation (Laakso et al. 1996): row j is x delayed
+    by delay[j] times gain[j], at the input's length, the head zero-filled
+    beyond the filter's lookahead; added into out when given, one row for a
+    scalar delay. Per DELAY_BLOCK samples, one (delays, taps) x (taps,
+    block) product on one of `lanes` threads, scattered by integer offset.
     """
-    if delay < 0:
+    delays = np.atleast_1d(np.asarray(delay, dtype=float))
+    if not np.all(delays >= 0):
         raise SceneError(f"negative delay {delay} not supported")
-    x = np.asarray(x, dtype=float)
-    n0 = int(np.floor(delay))
-    mu = delay - n0
-    half = DELAY_FILTER_TAPS // 2
-    t = np.arange(DELAY_FILTER_TAPS) - half - mu
+    n, half = np.size(x), DELAY_FILTER_TAPS // 2
+    shifts = np.floor(delays).astype(np.int64)
+    # each kernel reversed: tap 0 meets the oldest of its 32 input samples
+    t = half - 1 - np.arange(DELAY_FILTER_TAPS) - (delays - shifts)[:, np.newaxis]
     window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 1)))
-    kernel = np.sinc(t) * window
-    kernel /= kernel.sum()
-    full = np.convolve(x, kernel)
-    out = np.zeros_like(x)
-    start = half - n0
-    if start >= 0:
-        seg = full[start : start + x.size]
-        out[: seg.size] = seg
-    else:
-        out[-start :] = full[: x.size + start]
-    return out
+    taps = np.sinc(t) * window
+    taps *= np.broadcast_to(gain, delays.shape)[:, np.newaxis] / taps.sum(axis=1, keepdims=True)
+    # row i of `windows` holds the inputs of output i - half before the shift
+    padded = np.concatenate([np.zeros(DELAY_FILTER_TAPS - 1), x, np.zeros(half)])
+    windows = frame_view(padded, DELAY_FILTER_TAPS, 1)
+    out = np.zeros((delays.size, n)) if out is None else out
+
+    def block(first: int) -> None:
+        rows = taps @ np.ascontiguousarray(windows[first : first + DELAY_BLOCK].T)
+        for j, start in enumerate((first - half + shifts).tolist()):
+            lo, hi = max(0, -start), min(rows.shape[1], n - start)
+            if lo < hi:
+                out[j, start + lo : start + hi] += rows[j, lo:hi]
+
+    spread(block, range(0, n + half, DELAY_BLOCK), lanes)
+    return out if np.ndim(delay) else out[0]
 
 
 def synth_ego_noise(rpm: float, duration_s: float, rate_hz: int, seed) -> AudioClip:
@@ -193,24 +238,35 @@ def synth_ego_noise(rpm: float, duration_s: float, rate_hz: int, seed) -> AudioC
     (two blades), each with slow +-5% frequency jitter, plus Gaussian
     noise rolled off at -6 dB/octave above 1 kHz, 10 dB below the
     harmonic power. Output is normalized to unit mean-square power.
+
+    Partials that would reach 0.95 x Nyquist are left out. A jitter's running
+    sum is its control values times the hat basis's running sum, so all
+    phases have a closed form, built NOISE_BLOCK samples at a time.
     """
-    if rpm <= 0:
-        raise SceneError(f"rpm must be positive, got {rpm}")
+    n_partials = _n_partials(rpm, rate_hz)
+    if not 0.5 < duration_s * rate_hz < math.inf:
+        raise SceneError(f"duration {duration_s} s is under one sample at {rate_hz} Hz")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * rate_hz))
-    f0 = 2.0 * rpm / 60.0
     # fixed-throttle rotors drift slowly: one jitter control point every 4 s
     n_ctrl = max(int(np.ceil(duration_s / 4.0)) + 2, 2)
     ctrl_pos = np.linspace(0.0, n, n_ctrl)
-    sample_pos = np.arange(n)
-    harm = np.zeros(n)
-    for k in range(1, 21):
-        if k * f0 * 1.05 >= 0.95 * rate_hz / 2:
-            break
-        jitter = np.interp(sample_pos, ctrl_pos, rng.uniform(-1.0, 1.0, n_ctrl))
-        inst_freq = k * f0 * (1.0 + 0.05 * jitter)
-        phase = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.cumsum(inst_freq) / rate_hz
-        harm += np.sin(phase) / k
+    # per partial, uniform(-1, 1, n_ctrl) then uniform(0, 2 pi): a + (b - a) * random()
+    draws = rng.random((n_partials, n_ctrl + 1))
+    ctrl, start = 2.0 * draws[:, :-1] - 1.0, 2.0 * np.pi * draws[:, -1:]
+    orders = np.arange(1.0, n_partials + 1.0)
+    step = (2.0 * np.pi * orders * (2.0 * rpm / 60.0) / rate_hz)[:, np.newaxis]
+    harm, carry = np.empty(n), np.zeros(n_ctrl)
+    for first in range(0, n, NOISE_BLOCK):
+        pos = np.arange(first, min(first + NOISE_BLOCK, n), dtype=float)
+        hat_sums = np.array([np.interp(pos, ctrl_pos, hat) for hat in np.eye(n_ctrl)])
+        hat_sums[:, 0] += carry
+        np.cumsum(hat_sums, axis=1, out=hat_sums)
+        carry = hat_sums[:, -1]
+        phase = (pos + 1.0) + 0.05 * (ctrl @ hat_sums)
+        phase *= step
+        phase += start
+        harm[first : first + pos.size] = (1.0 / orders) @ np.sin(phase, out=phase)
     harm_power = np.mean(harm**2)
 
     broad = rng.standard_normal(n)
@@ -237,8 +293,7 @@ def make_oracle_mask(
     s_pow = np.abs(analyze(speech_ref, params).data[:, :, 0]) ** 2
     n_pow = np.abs(analyze(noise_ref, params).data[:, :, 0]) ** 2
     beta = ((s_pow >= n_pow) & (s_pow > 0)).astype(np.uint8)
-    spp = beta.astype(np.float64)
-    return SppMask(spp=spp, beta=beta, source_channel=("oracle", -1))
+    return SppMask(spp=beta.astype(np.float64), beta=beta, source_channel=("oracle", -1))
 
 
 def _load_speech(cfg: SceneConfig) -> np.ndarray:
@@ -250,10 +305,7 @@ def _load_speech(cfg: SceneConfig) -> np.ndarray:
     x = clip.samples[0]
     if cfg.duration_s is not None:
         n = int(round(cfg.duration_s * cfg.sample_rate_hz))
-        if x.size >= n:
-            x = x[:n]
-        else:
-            x = np.pad(x, (0, n - x.size))
+        x = np.pad(x[:n], (0, max(0, n - x.size)))
     return x
 
 
@@ -263,83 +315,73 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
     Channel layout: 12 main-array channels, then 4 propeller channels,
     then the external microphone (channel N_EMBEDDED). The
     noise image is scaled so the reference channel (0) meets the target
-    SNR exactly; the external channel sits 15 dB above that. Mic rows
-    render on usable_cores() threads; the images do not depend on that.
+    SNR exactly; the external channel sits 15 dB above that. On
+    usable_cores() lanes with BLAS held at one thread: the four rotors,
+    then the speech image and each rotor's coupled noise (rotors 0..3 in
+    turn) as blocked delay products by time block, then the surrogate
+    rows. The images do not depend on the lane count.
     """
     fs = cfg.sample_rate_hz
     speech = _load_speech(cfg)
     n = speech.size
     if n < fs:
         raise SceneError("speech material shorter than one second")
-    speech_power = np.mean(speech**2)
-    if speech_power <= 0:
+    if np.mean(speech**2) <= 0:
         raise SceneError("speech material has zero energy; SNR target unreachable")
 
     mics = np.vstack([ARRAY_MICS, PROPELLER_MICS, EXTERNAL_MIC])
     n_mics = mics.shape[0]
-    ref_distance = float(np.linalg.norm(SOURCE - ARRAY_MICS[0]))
 
     # speech images: relative delays, 1/r gains, propeller capsules shielded
-    delays = np.empty(n_mics)
-    gains = np.empty(n_mics)
-    for i in range(n_mics):
-        delays[i], gains[i] = steering_delay_gain(SOURCE, mics[i], fs, ref_distance)
-    rejection = 10.0 ** (cfg.propeller_speech_rejection_db / 20.0)
-    gains[N_ARRAY_MICS:N_EMBEDDED] *= rejection
+    delays, gains = steering_delay_gain(SOURCE, mics, fs, np.linalg.norm(SOURCE - ARRAY_MICS[0]))
+    gains[N_ARRAY_MICS:N_EMBEDDED] *= 10.0 ** (cfg.propeller_speech_rejection_db / 20.0)
     delays -= delays.min()
 
-    # rotor signals, then per mic its speech and coupled noise images, on threads
+    # coupling[i, r]: rotor r's gain at mic i, own or cross at the propeller mics
+    own, cross, to_array, floor_gain = 10.0 ** (np.array([
+        cfg.coupling_own_db, cfg.coupling_cross_db, cfg.coupling_array_db, cfg.sensor_noise_db
+    ]) / 20.0)
+    coupling = np.full((n_mics, N_ROTORS), to_array)
+    coupling[N_ARRAY_MICS:N_EMBEDDED] = np.where(np.eye(N_ROTORS, dtype=bool), own, cross)
     duration = n / fs
-    own = 10.0 ** (cfg.coupling_own_db / 20.0)
-    cross = 10.0 ** (cfg.coupling_cross_db / 20.0)
-    to_array = 10.0 ** (cfg.coupling_array_db / 20.0)
-    floor_gain = 10.0 ** (cfg.sensor_noise_db / 20.0)
-    speech_image = np.empty((n_mics, n))
+    speech_image = np.zeros((n_mics, n))
     noise_image = np.zeros((n_mics, n))
 
     def rotor(r: int) -> np.ndarray:
         return synth_ego_noise(cfg.rotor_speeds_rpm[r], duration, fs, (cfg.seed, r)).samples[0][:n]
 
-    def mic_rows(i: int) -> None:
-        speech_image[i] = gains[i] * fractional_delay(speech, delays[i])
-        row = noise_image[i]
-        for r in range(N_ROTORS):
-            if N_ARRAY_MICS <= i < N_EMBEDDED:
-                gain = own if (i - N_ARRAY_MICS) == r else cross
-            else:
-                gain = to_array
-            path_delay, _ = steering_delay_gain(ROTORS[r], mics[i], fs)
-            row += gain * fractional_delay(rotors[r], path_delay)
+    def surrogate(i: int) -> None:
         # incoherent per-channel part: a random-phase surrogate of the
         # channel's own coherent noise (local turbulence / structure-borne
         # vibration). Same power spectrum, no cross-channel coherence, so no
         # spatial filter can cancel below sensor_noise_db at any frequency.
         # Mic i's phases are the draws after mics 0..i-1's in one stream.
+        row = noise_image[i]
         spec = np.fft.rfft(row)
         stream = np.random.PCG64((cfg.seed, N_ROTORS)).advance(i * spec.size)
-        phases = np.exp(2j * np.pi * np.random.Generator(stream).uniform(size=spec.size))
-        row += floor_gain * np.fft.irfft(np.abs(spec) * phases, n)
+        theta = 2.0 * np.pi * np.random.Generator(stream).uniform(size=spec.size)
+        magnitude = np.abs(spec)
+        np.multiply(magnitude, np.cos(theta), out=spec.real)
+        np.multiply(magnitude, np.sin(theta), out=spec.imag)
+        row += floor_gain * np.fft.irfft(spec, n)
 
-    rotors = spread(rotor, range(N_ROTORS), usable_cores())
-    spread(mic_rows, range(n_mics), usable_cores())
+    with one_blas_thread() as pinned:
+        lanes = usable_cores() if pinned else 1
+        rotors = spread(rotor, range(N_ROTORS), lanes)
+        fractional_delay(speech, delays, gains, speech_image, lanes)
+        for r in range(N_ROTORS):
+            path_delays, _ = steering_delay_gain(ROTORS[r], mics, fs)
+            fractional_delay(rotors[r], path_delays, coupling[:, r], noise_image, lanes)
+        spread(surrogate, range(n_mics), lanes)
 
-    # calibrate the embedded noise to the target SNR at the reference channel
-    ref_speech_power = np.mean(speech_image[0] ** 2)
-    ref_noise_power = np.mean(noise_image[0] ** 2)
-    if ref_noise_power <= 0:
+    # calibrate the embedded noise to the target SNR at the reference
+    # channel (0), the external channel's to external_snr_offset_db above it
+    if np.mean(noise_image[0] ** 2) <= 0:
         raise SceneError("reference-channel noise image is silent")
-    alpha = np.sqrt(ref_speech_power / ref_noise_power / 10.0 ** (cfg.target_snr_db / 10.0))
-    noise_image[:N_EMBEDDED] *= alpha
-    ext_speech_power = np.mean(speech_image[N_EMBEDDED] ** 2)
-    ext_noise_power = np.mean(noise_image[N_EMBEDDED] ** 2)
     target_ext = cfg.target_snr_db + cfg.external_snr_offset_db
-    alpha_ext = np.sqrt(ext_speech_power / ext_noise_power / 10.0 ** (target_ext / 10.0))
-    noise_image[N_EMBEDDED] *= alpha_ext
-
-    mixture = speech_image + noise_image
-    speech_clip = AudioClip(speech_image, fs)
-    noise_clip = AudioClip(noise_image, fs)
-    mixture_clip = AudioClip(mixture, fs)
+    for ref, end, snr_db in ((0, N_EMBEDDED, cfg.target_snr_db), (N_EMBEDDED, n_mics, target_ext)):
+        ratio = np.mean(speech_image[ref] ** 2) / np.mean(noise_image[ref] ** 2)
+        noise_image[ref:end] *= np.sqrt(ratio / 10.0 ** (snr_db / 10.0))
 
     achieved = 10.0 * np.log10(np.mean(speech_image[0] ** 2) / np.mean(noise_image[0] ** 2))
     manifest = {
@@ -366,9 +408,9 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
         "speech_path": str(cfg.speech_path),
     }
     return SceneOutput(
-        mixture=mixture_clip,
-        speech_image=speech_clip,
-        noise_image=noise_clip,
+        mixture=AudioClip(speech_image + noise_image, fs),
+        speech_image=AudioClip(speech_image, fs),
+        noise_image=AudioClip(noise_image, fs),
         manifest=manifest,
     )
 
@@ -376,8 +418,6 @@ def render_scene(cfg: SceneConfig) -> SceneOutput:
 def write_scene(scene: SceneOutput, out_dir: str | Path) -> dict:
     """Write the embedded channels of the mixture, speech and noise images,
     the mixture's external channel and the manifest; returns the manifest."""
-    import json
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fs = scene.mixture.sample_rate_hz

@@ -23,6 +23,21 @@ def speech_wav(tmp_path_factory, speech_clip):
     return str(path)
 
 
+@pytest.fixture
+def blas_threads():
+    """Reads numpy's bundled OpenBLAS thread count; skips under another BLAS."""
+    import ctypes
+    import os
+
+    from numpy._core import _multiarray_umath
+
+    lib = ctypes.CDLL(_multiarray_umath.__file__, mode=os.RTLD_NOLOAD)
+    try:
+        return lib.scipy_openblas_get_num_threads64_
+    except AttributeError:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+
+
 @pytest.fixture(scope="session")
 def default_scene(speech_wav):
     """One rendered -10 dB scene shared by read-only tests."""

@@ -537,6 +537,8 @@ def test_cmd_simulate_deterministic_bytes(tmp_path, speech_wav):
         {"rotor_speeds_rpm": [True, 3920.0, 4040.0, 3960.0]},
         # a seed numpy's generators cannot take
         {"seed": -1},
+        # so fast that no blade-pass partial falls below 0.95 x Nyquist
+        {"rotor_speeds_rpm": [300000.0, 4000.0, 4000.0, 4000.0]},
     ],
 )
 def test_cmd_simulate_malformed_scene_config_exit_2(tmp_path, speech_wav, capsys, raw):
@@ -862,33 +864,19 @@ def test_sweep_marks_package_error_row_failed(speech_wav, monkeypatch):
 # ------------------------------------------------------------- BLAS threads
 
 
-def _blas_threads() -> int:
-    """numpy's bundled OpenBLAS thread count; skips under another BLAS."""
-    import ctypes
-    import os
-
-    from numpy._core import _multiarray_umath
-
-    lib = ctypes.CDLL(_multiarray_umath.__file__, mode=os.RTLD_NOLOAD)
-    try:
-        return lib.scipy_openblas_get_num_threads64_()
-    except AttributeError:
-        pytest.skip("numpy does not link its bundled OpenBLAS")
-
-
 def _nine_cell_sweep(speech_wav):
     return run_sweep(speech_wav, seeds=[0], duration_s=2.0, snrs=(-10.0,))
 
 
-def test_sweep_cells_run_on_one_blas_thread_and_restore_it(speech_wav, monkeypatch):
+def test_sweep_cells_run_on_one_blas_thread_and_restore_it(speech_wav, monkeypatch, blas_threads):
     import egomwf.cli as cli
 
-    before = _blas_threads()
+    before = blas_threads()
     real = cli.run_cell
     seen = []
 
     def counted(*args):
-        seen.append(_blas_threads())
+        seen.append(blas_threads())
         return real(*args)
 
     monkeypatch.setattr(cli, "run_cell", counted)
@@ -896,7 +884,7 @@ def test_sweep_cells_run_on_one_blas_thread_and_restore_it(speech_wav, monkeypat
     rows = _nine_cell_sweep(speech_wav)
     assert all(r["status"] == "ok" for r in rows)
     assert seen == [1] * 9
-    assert _blas_threads() == before
+    assert blas_threads() == before
 
     def broken(*args):
         raise RuntimeError("not a processing error")
@@ -904,13 +892,14 @@ def test_sweep_cells_run_on_one_blas_thread_and_restore_it(speech_wav, monkeypat
     monkeypatch.setattr(cli, "run_cell", broken)
     with pytest.raises(RuntimeError):
         _nine_cell_sweep(speech_wav)
-    assert _blas_threads() == before
+    assert blas_threads() == before
 
 
 def test_sweep_without_blas_pin_runs_one_lane_with_same_rows(speech_wav, monkeypatch):
     import threading
 
     import egomwf.cli as cli
+    import egomwf.scenegen
 
     monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
     pinned = _nine_cell_sweep(speech_wav)
@@ -925,7 +914,7 @@ def test_sweep_without_blas_pin_runs_one_lane_with_same_rows(speech_wav, monkeyp
         raise OSError("no such library")
 
     monkeypatch.setattr(cli, "run_cell", recorded)
-    monkeypatch.setattr(cli, "CDLL", no_library)
+    monkeypatch.setattr(egomwf.scenegen, "CDLL", no_library)
     unpinned = _nine_cell_sweep(speech_wav)
     assert json.dumps(unpinned, sort_keys=True) == json.dumps(pinned, sort_keys=True)
     assert threads == {threading.get_ident()}

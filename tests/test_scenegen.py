@@ -7,6 +7,8 @@ import pytest
 from egomwf.audio_io import AudioClip
 from egomwf.scenegen import (
     ARRAY_MICS,
+    DELAY_BLOCK,
+    DELAY_FILTER_TAPS,
     EXTERNAL_MIC,
     N_EMBEDDED,
     PROPELLER_MICS,
@@ -14,8 +16,10 @@ from egomwf.scenegen import (
     SOURCE,
     SceneConfig,
     SceneError,
+    _n_partials,
     fractional_delay,
     make_oracle_mask,
+    one_blas_thread,
     render_scene,
     spread,
     steering_delay_gain,
@@ -66,6 +70,113 @@ def test_fractional_delay_cross_correlation(rng):
     corr = [np.dot(y_a[100:-100], y_b[100 + lag : len(y_b) - 100 + lag]) for lag in lags]
     best = lags[int(np.argmax(corr))]
     assert abs(best - (d_b - d_a)) <= 0.5
+
+
+def _delay_reference(x, delay):
+    """One delay as one 32-tap np.convolve call: the per-delay code the
+    blocked product replaced, kept as its reference."""
+    n0 = int(np.floor(delay))
+    mu = delay - n0
+    half = DELAY_FILTER_TAPS // 2
+    if n0 > x.size + half:  # the lookahead reaches no input sample
+        return np.zeros_like(x)
+    t = np.arange(DELAY_FILTER_TAPS) - half - mu
+    window = 0.5 * (1.0 + np.cos(np.pi * t / (half + 1)))
+    kernel = np.sinc(t) * window
+    kernel /= kernel.sum()
+    full = np.convolve(x, kernel)
+    out = np.zeros_like(x)
+    start = half - n0
+    if start >= 0:
+        seg = full[start : start + x.size]
+        out[: seg.size] = seg
+    else:
+        out[-start :] = full[: x.size + start]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n", [10, 31, DELAY_BLOCK - 1, 2 * DELAY_BLOCK - 1, 2 * DELAY_BLOCK + 1, 2 * DELAY_BLOCK - 17]
+)
+def test_batched_delays_match_per_delay_convolution(rng, n):
+    """Zero, integer, fractional, beyond-lookahead and >= n delays, on
+    signals shorter than the filter and one sample off a block edge."""
+    x = rng.standard_normal(n)
+    delays = np.array([0.0, 3.0, 2.37, 15.999, 16.5, 40.25, n - 0.3, n + 0.5, n + 16.0, n + 90.7])
+    expected = np.array([_delay_reference(x, d) for d in delays])
+    rows = fractional_delay(x, delays)
+    assert rows.shape == (delays.size, n)
+    assert np.max(np.abs(rows - expected)) <= 1e-12
+    assert not rows[-2:].any()  # nothing of x reaches these outputs
+    on_three = fractional_delay(x, delays, lanes=3)
+    assert on_three.tobytes() == rows.tobytes()
+    # the gain-and-accumulate path adds gain-weighted rows into out
+    gains = rng.uniform(0.1, 2.0, delays.size)
+    out = rng.standard_normal((delays.size, n))
+    want = out + gains[:, np.newaxis] * expected
+    assert fractional_delay(x, delays, gains, out, lanes=2) is out
+    assert np.max(np.abs(out - want)) <= 1e-12
+    # a scalar delay gives one row
+    assert np.max(np.abs(fractional_delay(x, 2.37) - expected[2])) <= 1e-12
+
+
+def test_fractional_delay_rejects_negative_delay(rng):
+    with pytest.raises(SceneError):
+        fractional_delay(rng.standard_normal(100), [1.0, -0.5])
+
+
+def _ego_noise_reference(rpm, duration_s, rate_hz, seed):
+    """synth_ego_noise with one np.interp and one np.cumsum per partial:
+    the loop the closed-form phases replaced, kept as their reference."""
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * rate_hz))
+    f0 = 2.0 * rpm / 60.0
+    n_ctrl = max(int(np.ceil(duration_s / 4.0)) + 2, 2)
+    ctrl_pos = np.linspace(0.0, n, n_ctrl)
+    sample_pos = np.arange(n)
+    harm = np.zeros(n)
+    for k in range(1, 21):
+        if k * f0 * 1.05 >= 0.95 * rate_hz / 2:
+            break
+        jitter = np.interp(sample_pos, ctrl_pos, rng.uniform(-1.0, 1.0, n_ctrl))
+        inst_freq = k * f0 * (1.0 + 0.05 * jitter)
+        phase = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.cumsum(inst_freq) / rate_hz
+        harm += np.sin(phase) / k
+    harm_power = np.mean(harm**2)
+    broad = rng.standard_normal(n)
+    spec = np.fft.rfft(broad)
+    freqs = np.fft.rfftfreq(n, 1.0 / rate_hz)
+    spec *= 1.0 / np.sqrt(1.0 + (freqs / 1000.0) ** 2)
+    broad = np.fft.irfft(spec, n)
+    broad *= np.sqrt(0.1 * harm_power / np.mean(broad**2))
+    x = harm + broad
+    return x / np.sqrt(np.mean(x**2))
+
+
+@pytest.mark.parametrize("duration_s", [1.0, 2.5, 10.0])
+@pytest.mark.parametrize("rpm, n_partials", [(4040.0, 20), (80000.0, 2), (130000.0, 1)])
+def test_ego_noise_matches_per_partial_loop(duration_s, rpm, n_partials):
+    assert _n_partials(rpm, 16000) == n_partials
+    got = synth_ego_noise(rpm, duration_s, 16000, (3, 1)).samples[0]
+    assert got.size == round(duration_s * 16000)
+    assert np.max(np.abs(got - _ego_noise_reference(rpm, duration_s, 16000, (3, 1)))) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "rpm, duration_s",
+    [
+        (300000.0, 1.0),  # every partial at or above 0.95 x Nyquist
+        (float("nan"), 1.0),
+        (float("inf"), 1.0),
+        (-4000.0, 1.0),
+        (4000.0, 1e-5),  # under one sample
+        (4000.0, 0.0),
+        (4000.0, float("nan")),
+    ],
+)
+def test_ego_noise_rejects_unrenderable_input(rpm, duration_s):
+    with pytest.raises(SceneError):
+        synth_ego_noise(rpm, duration_s, 16000, seed=0)
 
 
 def test_ego_noise_unit_power_and_determinism():
@@ -181,6 +292,26 @@ def test_scene_determinism(speech_wav, monkeypatch):
             assert getattr(a, name).samples.tobytes() == getattr(other, name).samples.tobytes()
 
 
+def test_render_holds_blas_at_one_thread_and_restores_it(speech_wav, monkeypatch, blas_threads):
+    import egomwf.scenegen
+
+    cfg = SceneConfig(speech_path=speech_wav, seed=1, duration_s=1.0)
+    before, seen, real = blas_threads(), [], egomwf.scenegen.spread
+
+    def recorded(*args):
+        seen.append(blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(egomwf.scenegen, "spread", recorded)
+    render_scene(cfg)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == before
+    with one_blas_thread() as pinned:
+        render_scene(cfg)
+        assert blas_threads() == (1 if pinned else before)
+    assert blas_threads() == before
+
+
 def test_usable_cores_follows_affinity_mask_or_cpu_count(monkeypatch):
     import os
 
@@ -265,6 +396,17 @@ def test_scene_config_validation(speech_wav):
         SceneConfig(speech_path=speech_wav, rotor_speeds_rpm=(0.0, 1.0, 1.0, 1.0))
     with pytest.raises(SceneError):
         SceneConfig(speech_path=speech_wav, target_snr_db=float("inf"))
+
+
+def test_scene_config_rejects_a_rotor_with_no_partial_below_nyquist(speech_wav):
+    # the fastest speed that keeps one partial at 16 kHz renders; one faster does not
+    fastest = 0.95 * 16000 / 2 / 1.05 * 60.0 / 2.0 * (1 - 1e-9)
+    SceneConfig(speech_path=speech_wav, rotor_speeds_rpm=(fastest, 4000.0, 4000.0, 4000.0))
+    with pytest.raises(SceneError, match="0.95 x Nyquist"):
+        SceneConfig(speech_path=speech_wav, rotor_speeds_rpm=(4000.0, 300000.0, 4000.0, 4000.0))
+    # the bound moves with the sample rate
+    with pytest.raises(SceneError):
+        SceneConfig(speech_path=speech_wav, rotor_speeds_rpm=(fastest,) * 4, sample_rate_hz=8000)
 
 
 @pytest.mark.parametrize(
