@@ -46,7 +46,7 @@ EXIT_CONFIG = 2
 EXIT_PROCESSING = 3
 
 # every package exception derives from EgomwfError; OSError and ValueError
-# cover file-system failures and invalid arrays from numpy/scipy
+# cover file-system failures and invalid arrays from numpy
 PROCESSING_ERRORS = (EgomwfError, OSError, ValueError)
 
 

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -154,11 +155,34 @@ def test_spread_is_the_only_way_to_start_threads():
 
 
 # lines src/egomwf/*.py may hold (the seed had 2588): lower it whenever a
-# change leaves the package smaller, so the count only ever ratchets down
-LINE_BUDGET = 2606
+# change leaves the package smaller, so the count only ever ratchets down;
+# raised from 2606 by the numpy-only WAV I/O, resampler and speech filters
+LINE_BUDGET = 2752
 
 
 def test_package_stays_within_its_line_budget():
     paths = Path(egomwf.__file__).parent.glob("*.py")
     lines = sum(len(path.read_text().splitlines()) for path in paths)
     assert lines <= LINE_BUDGET, f"src/egomwf has {lines} lines, over its budget of {LINE_BUDGET}"
+
+
+def test_package_runs_without_scipy(tmp_path):
+    """In a fresh interpreter, importing every package module and using the
+    speech generator, the resampler and WAV reading and writing loads no
+    scipy module: numpy is the only runtime dependency."""
+    package = Path(egomwf.__file__).parent
+    modules = sorted(f"egomwf.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    code = f"""
+import importlib, sys
+sys.path.insert(0, {str(package.parent)!r})
+for name in {modules!r}:
+    importlib.import_module(name)
+from egomwf import read_wav, resample, write_wav
+from egomwf.speechgen import speech_like
+write_wav(resample(speech_like(1.0, 16000, 0), 10000), {str(tmp_path / "s.wav")!r}, "16")
+assert read_wav({str(tmp_path / "s.wav")!r}).n_frames == 10000
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]", run.stdout
