@@ -74,8 +74,6 @@ _CHUNK = 4096
 def _layout(source: Path) -> tuple:
     """Rate, channels, frames, bits per sample, (dtype, full-scale multiplier)
     and data offset of a WAV file."""
-    if not source.exists():
-        raise AudioError(f"file not found: {source}")
     bad, fmt = f"unreadable WAV file {source}", None
     try:
         with open(source, "rb") as fh:
@@ -85,8 +83,8 @@ def _layout(source: Path) -> tuple:
             while len(head := fh.read(8)) == 8:
                 chunk, length = struct.unpack("<4sI", head)
                 offset = fh.tell()
-                if chunk == b"fmt " and length >= 16:
-                    body = fh.read(length)
+                # a fmt chunk cut short leaves fmt unset and the loop at the end
+                if chunk == b"fmt " and len(body := fh.read(min(length, 40))) >= 16:
                     fmt = struct.unpack("<HHIIHH", body[:16])
                     if fmt[0] == 0xFFFE and body[26:40] == _SUBFORMAT:  # extensible
                         fmt = struct.unpack("<H", body[24:26]) + fmt[1:]
@@ -237,10 +235,8 @@ def resample(clip: AudioClip, target_rate_hz: int) -> AudioClip:
     g = math.gcd(target_rate_hz, src)
     up, down = target_rate_hz // g, src // g
     if up > _MAX_RATIO_TERM or down > _MAX_RATIO_TERM:
-        raise AudioError(
-            f"rate ratio {target_rate_hz}/{src} reduces to {up}/{down}; "
-            f"both terms must be <= {_MAX_RATIO_TERM}"
-        )
+        raise AudioError(f"rate ratio {target_rate_hz}/{src} reduces to {up}/{down}; "
+                         f"both terms must be <= {_MAX_RATIO_TERM}")
     # scipy.signal.firwin's lowpass at 0.9 x the lower Nyquist rate, in
     # units of the upsampled Nyquist rate, at unit DC gain
     cutoff = _CUTOFF_FACTOR * min(src, target_rate_hz) / (src * up)

@@ -35,7 +35,7 @@ from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition
 from .metrics import score_input, score_output
-from .pipeline import EnhanceResult, InputAnalysis, PipelineError, enhance
+from .pipeline import InputAnalysis, PipelineError, enhance
 from .scenegen import DEFAULT_ARRAY_SIZES, DEFAULT_SNRS_DB, SceneConfig, SceneError, one_blas_thread
 from .scenegen import render_scene, spread, suite_partition, usable_cores, write_scene
 from .spp import SPP_MODES
@@ -55,16 +55,6 @@ def _fail_config(msg: str) -> int:
     return EXIT_CONFIG
 
 
-def _enhance_report(cfg: EnhanceConfig, result: EnhanceResult, elapsed: float) -> dict:
-    return {
-        "config": cfg.describe(),
-        "per_bin_status_counts": result.status_counts(),
-        "spp_activity_fraction": result.mask.activity_fraction(),
-        "filter_compute_seconds": result.filterbank.compute_seconds,
-        "elapsed_seconds": elapsed,
-    }
-
-
 def cmd_enhance(args: argparse.Namespace) -> int:
     if bool(args.speech_ref) != bool(args.noise_ref):
         return _fail_config("--speech-ref and --noise-ref must be given together")
@@ -79,10 +69,8 @@ def cmd_enhance(args: argparse.Namespace) -> int:
         cfg = replace(cfg, spp_channel=clip.n_channels - 1)
     if cfg.spp_mode == "oracle" and not args.speech_ref:
         return _fail_config("oracle SPP mode needs --speech-ref and --noise-ref")
-    speech_ref = noise_ref = None
-    if args.speech_ref:
-        speech_ref = read_wav(args.speech_ref)
-        noise_ref = read_wav(args.noise_ref)
+    refs = (args.speech_ref, args.noise_ref)  # both or neither
+    speech_ref, noise_ref = [read_wav(path) if path else None for path in refs]
     t0 = time.perf_counter()
     result = enhance(clip, cfg, speech_ref, noise_ref)
     elapsed = time.perf_counter() - t0
@@ -94,9 +82,14 @@ def cmd_enhance(args: argparse.Namespace) -> int:
     if args.shadow_noise_out:
         write_wav(result.shadow_noise, args.shadow_noise_out, "32f")
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(_enhance_report(cfg, result, elapsed), indent=2, sort_keys=True)
-        )
+        report = {
+            "config": asdict(cfg),
+            "per_bin_status_counts": result.status_counts(),
+            "spp_activity_fraction": result.mask.activity_fraction(),
+            "filter_compute_seconds": result.filterbank.compute_seconds,
+            "elapsed_seconds": elapsed,
+        }
+        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -128,16 +121,10 @@ def _reference_channel(path: str) -> AudioClip:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if bool(args.shadow_speech) != bool(args.shadow_noise):
         return _fail_config("--shadow-speech and --shadow-noise must be given together")
-    shadow_speech = shadow_noise = None
-    if args.shadow_speech:
-        shadow_speech = _reference_channel(args.shadow_speech)
-        shadow_noise = _reference_channel(args.shadow_noise)
-    report = score_output(
-        score_input(_reference_channel(args.clean), _reference_channel(args.noisy)),
-        _reference_channel(args.processed),
-        shadow_speech,
-        shadow_noise,
-    )
+    shadows = (args.shadow_speech, args.shadow_noise)  # both or neither
+    shadow_speech, shadow_noise = [_reference_channel(path) if path else None for path in shadows]
+    inputs = score_input(_reference_channel(args.clean), _reference_channel(args.noisy))
+    report = score_output(inputs, _reference_channel(args.processed), shadow_speech, shadow_noise)
     Path(args.report).write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
     print(f"wrote {args.report}")
     return EXIT_OK
@@ -248,11 +235,7 @@ def write_sweep_outputs(rows: list[dict], out_dir: Path) -> None:
 
 
 def _fmt_csv(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -41,50 +41,29 @@ class EnhanceConfig:
     delta: float = DEFAULT_LOADING
 
     def __post_init__(self):
-        violations = validate_semantics(self)
+        violations = []
+        if self.method not in METHODS:
+            violations.append(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.spp_mode not in SPP_MODES:
+            violations.append(f"spp_mode must be one of {SPP_MODES}, got {self.spp_mode!r}")
+        if not 0 <= self.delta < math.inf:
+            violations.append(f"delta must be >= 0 and finite, got {self.delta}")
+        if self.spp_channel is not None and not is_channel(self.spp_channel):
+            violations.append(f"spp_channel must be a non-negative integer, got {self.spp_channel!r}")
         if violations:
             raise ConfigError(violations)
 
-    def describe(self) -> dict:
-        return {
-            "method": self.method,
-            "spp_mode": self.spp_mode,
-            "spp_channel": self.spp_channel,
-            "partition": self.partition.describe(),
-            "delta": self.delta,
-            "stft": {
-                "fft_size": self.stft.fft_size,
-                "hop": self.stft.hop,
-                "sample_rate_hz": self.stft.sample_rate_hz,
-            },
-        }
-
-
-def validate_semantics(cfg: EnhanceConfig) -> list[str]:
-    violations = []
-    if cfg.method not in METHODS:
-        violations.append(f"method must be one of {METHODS}, got {cfg.method!r}")
-    if cfg.spp_mode not in SPP_MODES:
-        violations.append(f"spp_mode must be one of {SPP_MODES}, got {cfg.spp_mode!r}")
-    if not 0 <= cfg.delta < math.inf:
-        violations.append(f"delta must be >= 0 and finite, got {cfg.delta}")
-    if cfg.spp_channel is not None and not is_channel(cfg.spp_channel):
-        violations.append(f"spp_channel must be a non-negative integer, got {cfg.spp_channel!r}")
-    return violations
-
 
 def _parse_section(raw: dict, key: str, builder, errors: list[str], default):
+    """builder(raw[key]); default() if the key is absent or fails (noted in errors)."""
     section = raw.get(key)
-    if section is None:
-        return default() if callable(default) else default
-    if not isinstance(section, dict):
-        errors.append(f"{key}: expected an object, got {type(section).__name__}")
-        return default() if callable(default) else default
     try:
-        return builder(section)
+        if section is not None and not isinstance(section, dict):
+            raise TypeError(f"expected an object, got {type(section).__name__}")
+        return default() if section is None else builder(section)
     except (TypeError, ValueError, OverflowError, StftError, SppError, FilterError) as exc:
         errors.append(f"{key}: {exc}")
-        return default() if callable(default) else default
+        return default()
 
 
 def _known_keys(section: dict, allowed: set[str]) -> dict:
@@ -127,11 +106,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> EnhanceConfig:
 
     stft = _parse_section(raw, "stft", _build_stft, errors, StftParams)
     spp = _parse_section(raw, "spp", _build_spp, errors, SppParams)
-    partition = None
+    partition = _parse_section(raw, "partition", _build_partition, errors, lambda: None)
     if "partition" not in raw:
         errors.append("partition: required section is missing")
-    else:
-        partition = _parse_section(raw, "partition", _build_partition, errors, lambda: None)
 
     known = {"stft", "spp", "partition", "spp_mode", "spp_channel", "method", "delta"}
     unknown = set(raw) - known
@@ -146,8 +123,6 @@ def parse_config(raw: dict, overrides: dict | None = None) -> EnhanceConfig:
         if "delta" in settings:
             settings["delta"] = float(settings["delta"])
         return EnhanceConfig(partition=partition, stft=stft, spp=spp, **settings)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError([str(exc)]) from exc
 

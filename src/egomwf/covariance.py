@@ -82,9 +82,7 @@ def estimate_correlations(
     if any(not 0 <= c < grid.n_channels for c in channels):
         raise ValueError(f"channel list {channels} out of range for {grid.n_channels} channels")
     if mask.beta.shape != grid.data.shape[:2]:
-        raise ValueError(
-            f"mask shape {mask.beta.shape} does not match grid {grid.data.shape[:2]}"
-        )
+        raise ValueError(f"mask shape {mask.beta.shape} does not match grid {grid.data.shape[:2]}")
     g = grid.data
     in_place = channels == list(range(grid.n_channels)) and g.flags.c_contiguous
     n_bins, n_frames = g.shape[:2]

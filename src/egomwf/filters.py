@@ -70,14 +70,10 @@ class ChannelPartition:
         if len(set(sn)) != len(sn) or len(set(no)) != len(no):
             raise FilterError("channel lists contain duplicates")
         if set(sn) & set(no):
-            raise FilterError(
-                f"channel lists overlap: {sorted(set(sn) & set(no))}"
-            )
+            raise FilterError(f"channel lists overlap: {sorted(set(sn) & set(no))}")
         if not 0 <= self.ref_channel < len(sn):
-            raise FilterError(
-                f"ref_channel {self.ref_channel} out of range for "
-                f"{len(sn)} speech+noise channels"
-            )
+            raise FilterError(f"ref_channel {self.ref_channel} out of range for "
+                              f"{len(sn)} speech+noise channels")
 
     @property
     def n_speech_noise(self) -> int:
@@ -96,13 +92,6 @@ class ChannelPartition:
         """Physical indices in filter order: speech+noise first."""
         return self.speech_noise_channels + self.noise_only_channels
 
-    def describe(self) -> dict:
-        return {
-            "speech_noise_channels": list(self.speech_noise_channels),
-            "noise_only_channels": list(self.noise_only_channels),
-            "ref_channel": self.ref_channel,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
@@ -115,16 +104,12 @@ class FilterBank:
     compute_seconds: float = field(default=0.0)
 
     def status_counts(self) -> dict[str, int]:
-        counts = {s: 0 for s in (STATUS_OK, STATUS_NO_SPEECH, STATUS_NO_NOISE, STATUS_CLAMPED)}
-        for s in self.per_bin_status:
-            counts[s] = counts.get(s, 0) + 1
-        return counts
+        statuses = (STATUS_OK, STATUS_NO_SPEECH, STATUS_NO_NOISE, STATUS_CLAMPED)
+        return {s: self.per_bin_status.count(s) for s in statuses}
 
 
 def _wiener_gain(sigma_y1: np.ndarray, sigma_n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamped gain max(0, 1 - sigma_n1/sigma_y1); flags where clamping hit."""
-    sigma_y1 = np.asarray(sigma_y1, dtype=np.float64)
-    sigma_n1 = np.asarray(sigma_n1, dtype=np.float64)
     safe = sigma_y1 > 0
     raw = np.where(safe, 1.0 - sigma_n1 / np.where(safe, sigma_y1, 1.0), -1.0)
     return np.maximum(raw, 0.0), raw < 0

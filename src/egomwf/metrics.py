@@ -146,28 +146,15 @@ def _stoi_score(ref: _StoiReference, y: np.ndarray) -> float:
 
 
 def stoi(clean: AudioClip, processed: AudioClip) -> float:
-    """Short-time objective intelligibility of `processed` given `clean`.
-
-    Both clips must share one rate; they are resampled to 10 kHz before
-    scoring. score_input builds the clean side once for every output
-    scored against one reference.
-    """
-    x = _mono(clean, "clean signal")
-    y = _mono(processed, "processed signal")
-    if x.size != y.size:
-        raise MetricsError(f"length mismatch: clean {x.size} vs processed {y.size}")
-    _same_rate(clean.sample_rate_hz, processed.sample_rate_hz, "clean", "processed")
-    ref = _stoi_reference(_at_stoi_rate(clean))
-    return _stoi_score(ref, _at_stoi_rate(processed))
+    """Short-time objective intelligibility of `processed` given `clean`:
+    score_input's stoi_in on the pair. Both clips must share one rate;
+    they are resampled to 10 kHz before scoring."""
+    return score_input(clean, processed).stoi_in
 
 
 def evaluate(result: EnhanceResult, clean_ref: AudioClip, noisy_ref: AudioClip) -> MetricsReport:
-    """Input/output SNR (via shadow components) and STOI for one run.
-
-    score_input on the references, then score_output on the run's
-    enhanced output and shadow components (the clean side of STOI is
-    built once for both).
-    """
+    """Input/output SNR (via shadow components) and STOI for one run:
+    score_input on the references, then score_output on the run's output."""
     inputs = score_input(clean_ref, noisy_ref)
     return score_output(inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
 

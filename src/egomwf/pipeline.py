@@ -71,10 +71,8 @@ def apply_filterbank(grid: StftGrid, fb: FilterBank, channels: Sequence[int]) ->
     if grid.n_bins != n_bins:
         raise PipelineError(f"grid has {grid.n_bins} bins but filterbank has {n_bins}")
     if len(channels) != m or any(not 0 <= c < grid.n_channels for c in channels):
-        raise PipelineError(
-            f"channels {list(channels)} do not fit {m} weights on a "
-            f"{grid.n_channels}-channel grid"
-        )
+        raise PipelineError(f"channels {list(channels)} do not fit {m} weights on a "
+                            f"{grid.n_channels}-channel grid")
     return (grid.data @ _conj_weights(fb, channels, grid.n_channels)[:, :, None])[:, :, 0]
 
 
@@ -124,10 +122,8 @@ class InputAnalysis:
         self.n_channels = clip.n_channels
         for name, ref in zip(("speech", "noise"), refs):
             if ref is not None and ref.n_frames != clip.n_frames:
-                raise PipelineError(
-                    f"{name} reference has {ref.n_frames} samples but the input has "
-                    f"{clip.n_frames}"
-                )
+                raise PipelineError(f"{name} reference has {ref.n_frames} samples "
+                                    f"but the input has {clip.n_frames}")
         self._column = {c: j for j, c in enumerate(self.channels)}
         self._configs = tuple(configs)
         keys = dict.fromkeys(self._check(cfg)[1] for cfg in self._configs)
@@ -161,13 +157,11 @@ class InputAnalysis:
         order = filter_partition(cfg.partition, cfg.method).ordered_channels
         needed = max(order)
         if needed >= self.n_channels:
-            raise PipelineError(
-                f"partition references channel {needed} but input has {self.n_channels}"
-            )
+            raise PipelineError(f"partition references channel {needed} "
+                                f"but input has {self.n_channels}")
         if cfg.spp_channel is not None and cfg.spp_channel >= self.n_channels:
-            raise PipelineError(
-                f"SPP channel {cfg.spp_channel} out of range for {self.n_channels}-channel input"
-            )
+            raise PipelineError(f"SPP channel {cfg.spp_channel} out of range for "
+                                f"{self.n_channels}-channel input")
         outside = sorted(set(order) - set(self.channels))
         if outside:
             raise PipelineError(f"channels {outside} are outside the analysed set {self.channels}")
@@ -234,9 +228,6 @@ class InputAnalysis:
                 synthesize(StftGrid(spectra[:, :, j : j + 1], params), out, f0)
         return [AudioClip(out[:, : self.grid.n_samples], params.sample_rate_hz) for out in outs]
 
-    def _filtered(self, source: AudioClip | StftGrid, fb: FilterBank) -> AudioClip:
-        return self._synthesized(source, [fb])[0]
-
     def filter_shadows(self, lanes: int) -> None:
         """Prepare a run for each constructor config: its bank, built on
         `lanes` threads, and its shadows, each source filtered for all the
@@ -262,7 +253,8 @@ class InputAnalysis:
         filter_shadows prepared is handed out once."""
         mask, fb, shadows = self._prepared.pop(cfg, None) or (*self._bank(cfg), [])
         sources = [*self.shadow_sources, self.grid]  # just the grid once filter_shadows ran
-        *filtered, enhanced = spread(lambda s: self._filtered(s, fb), sources, usable_cores())
+        *filtered, enhanced = spread(lambda s: self._synthesized(s, [fb])[0], sources,
+                                     usable_cores())
         shadows += filtered
         if len(shadows) == 1:  # the input is speech plus noise
             shadows.append(AudioClip(enhanced.samples - shadows[0].samples, enhanced.sample_rate_hz))

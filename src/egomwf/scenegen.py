@@ -297,12 +297,7 @@ def make_oracle_mask(
 
 
 def _load_speech(cfg: SceneConfig) -> np.ndarray:
-    clip = read_wav(cfg.speech_path)
-    if clip.n_channels > 1:
-        clip = clip.channel(0)
-    if clip.sample_rate_hz != cfg.sample_rate_hz:
-        clip = resample(clip, cfg.sample_rate_hz)
-    x = clip.samples[0]
+    x = resample(read_wav(cfg.speech_path).channel(0), cfg.sample_rate_hz).samples[0]
     if cfg.duration_s is not None:
         n = int(round(cfg.duration_s * cfg.sample_rate_hz))
         x = np.pad(x[:n], (0, max(0, n - x.size)))

@@ -80,9 +80,7 @@ def estimate_spp(
         raise SppError(f"expected (bins, frames) spectrogram, got shape {spec.shape}")
     n_bins, n_frames = spec.shape
     if n_frames < params.init_frames:
-        raise SppError(
-            f"need at least init_frames={params.init_frames} frames, got {n_frames}"
-        )
+        raise SppError(f"need at least init_frames={params.init_frames} frames, got {n_frames}")
     power = np.abs(spec) ** 2
     eps = np.finfo(np.float64).eps
     sigma2 = np.mean(power[:, : params.init_frames], axis=1)

@@ -67,9 +67,8 @@ class StftGrid:
         if d.ndim != 3:
             raise StftError(f"grid data must be 3-D (bins, frames, channels), got {d.shape}")
         if d.shape[0] != self.params.n_bins:
-            raise StftError(
-                f"bin count {d.shape[0]} inconsistent with fft_size {self.params.fft_size}"
-            )
+            raise StftError(f"bin count {d.shape[0]} inconsistent with "
+                            f"fft_size {self.params.fft_size}")
         object.__setattr__(self, "data", d.astype(np.complex128, copy=False))
 
     @property
@@ -173,9 +172,7 @@ def analyze(
     """
     params = params or StftParams()
     if clip.sample_rate_hz != params.sample_rate_hz:
-        raise StftError(
-            f"clip rate {clip.sample_rate_hz} != params rate {params.sample_rate_hz}"
-        )
+        raise StftError(f"clip rate {clip.sample_rate_hz} != params rate {params.sample_rate_hz}")
     channels = list(range(clip.n_channels) if channels is None else channels)
     if not channels:
         raise StftError("channel list must be nonempty")

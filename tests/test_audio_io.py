@@ -118,6 +118,7 @@ MALFORMED_WAVS = {
     "data before fmt": _riff(_PCM16, _fmt()),
     "no data chunk": _riff(_fmt(), _chunk(b"LIST", b"INFO")),
     "no fmt chunk": _riff(_PCM16),
+    "truncated fmt": _riff(_fmt())[:-8],
     "8-bit PCM": _riff(_fmt(bits=8), _chunk(b"data", bytes(4))),
     "A-law": _riff(_fmt(tag=6, bits=8), _chunk(b"data", bytes(4))),
     "64-bit PCM": _riff(_fmt(bits=64), _chunk(b"data", bytes(16))),

@@ -157,7 +157,7 @@ def test_spread_is_the_only_way_to_start_threads():
 # lines src/egomwf/*.py may hold (the seed had 2588): lower it whenever a
 # change leaves the package smaller, so the count only ever ratchets down;
 # raised from 2606 by the numpy-only WAV I/O, resampler and speech filters
-LINE_BUDGET = 2752
+LINE_BUDGET = 2658
 
 
 def test_package_stays_within_its_line_budget():

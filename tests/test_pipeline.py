@@ -401,7 +401,8 @@ def test_blocked_filter_matches_whole_grid_synthesis(rng, channels):
         d = apply_filterbank(grid, fb, channels)
         expected = synthesize(StftGrid(d[:, :, None], params, n)).samples
         for source in (analysis.grid, clip):
-            assert np.array_equal(analysis._filtered(source, fb).samples, expected), (n, source)
+            filtered = analysis._synthesized(source, [fb])[0]
+            assert np.array_equal(filtered.samples, expected), (n, source)
 
 
 def test_single_run_shadow_enhance_holds_no_component_grid(default_scene):
