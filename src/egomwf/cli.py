@@ -11,11 +11,12 @@ each scene every array size x SPP mode x method.
 
 Before a scene's cells start, SharedScene builds what they share: the
 mixture's STFT grid on the 16 array and propeller channels, one mask
-and covariance per SPP mode, the input scores, each cell's filter bank
-and the speech image filtered for all cells in one pass. A failure there
-fails exactly the cells it serves. A scene holds BLAS at one thread; its
-cells run on one thread per usable core (those of a scene whose pin does
-not take, on one).
+and covariance per SPP mode, the input scores, and the analysis prepared
+for every cell (its filter bank, and the speech image filtered for all
+cells in one pass). A failure there fails exactly the cells it serves; a
+cell then filters the mixture grid and scores. A scene holds BLAS at one
+thread; its cells run on one thread per usable core (those of a scene
+whose pin does not take, on one).
 """
 
 from __future__ import annotations
@@ -102,11 +103,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail_config(f"scene config not found: {cfg_path}")
     try:
         raw = json.loads(cfg_path.read_text())
-        # a non-object or an unknown key (geometry is fixed) is a TypeError
-        cfg = SceneConfig(**{"speech_path": args.speech, **raw})
+        # a non-object, an unknown key (geometry is fixed) or speech_path
+        # (--speech is its only source) is a TypeError
+        cfg = SceneConfig(args.speech, **raw)
         if args.duration is not None:
             cfg = replace(cfg, duration_s=args.duration)
-    except (TypeError, json.JSONDecodeError, SceneError) as exc:
+    except (TypeError, json.JSONDecodeError, UnicodeDecodeError, RecursionError, SceneError) as exc:
         return _fail_config(f"bad scene config: {exc}")
     write_scene(render_scene(cfg), Path(args.output_dir))
     print(f"wrote scene under {args.output_dir}")
@@ -142,9 +144,9 @@ def _cell_config(ext: int, partition: ChannelPartition, spp_mode: str, method: s
 
 class SharedScene:
     """A scene's manifest and the work its sweep cells share, all built on
-    construction: the input scores, the mixture analysis, and each cell's
-    filter bank and speech shadow (banks on `lanes` threads, the caller's
-    among them). The rendered images go as soon as what needs them exists."""
+    construction: the input scores and the mixture analysis, prepared for
+    every cell on `lanes` threads, the caller's among them. The rendered
+    images go as soon as what needs them exists."""
 
     def __init__(self, scene_cfg: SceneConfig, cells: list[tuple], lanes: int):
         scene = render_scene(scene_cfg)
@@ -157,7 +159,7 @@ class SharedScene:
         images = scene.mixture, StftParams(), scene.speech_image, scene.noise_image
         self.analysis = InputAnalysis(*images, channels["array"] + channels["propeller"], configs)
         del scene, images  # the analysis keeps the speech image alone, for its pass
-        self.analysis.filter_shadows(lanes)
+        self.analysis.prepare(lanes)
 
 
 def run_cell(shared: SharedScene, partition: ChannelPartition, spp_mode: str, method: str) -> dict:

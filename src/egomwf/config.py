@@ -129,10 +129,10 @@ def parse_config(raw: dict, overrides: dict | None = None) -> EnhanceConfig:
 
 def load_config(path: str | Path, overrides: dict | None = None) -> EnhanceConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     return parse_config(raw, overrides)

@@ -10,10 +10,10 @@ less the speech shadow.
 
 Everything before the filter depends on the input and the mask source,
 not on method or array size, so an InputAnalysis serves many runs on one
-input: enhance() builds one for a single config, the sweep one per scene.
-No component is held as a grid: reference clips are analysed, filtered
-and synthesized _BLOCK frames at a time, beside the mixture in a single
-run, once for all the cells of a sweep scene.
+input, and every run comes from one: enhance() prepares it for a single
+config, the sweep for all the cells of a scene. No component is held as
+a grid: prepare analyses, filters and synthesizes the reference clips
+_BLOCK frames at a time, once for all the banks.
 """
 
 from __future__ import annotations
@@ -78,14 +78,11 @@ def apply_filterbank(grid: StftGrid, fb: FilterBank, channels: Sequence[int]) ->
 
 def _mask_source(cfg: EnhanceConfig) -> tuple[str, int]:
     """(SPP mode, physical channel) the configured mask is computed from."""
-    ref_phys = cfg.partition.speech_noise_channels[cfg.partition.ref_channel]
-    if cfg.spp_mode == "external":
-        if cfg.spp_channel is None:
-            raise PipelineError("external SPP mode needs the external channel index")
-        return "external", cfg.spp_channel
-    if cfg.spp_mode == "internal" and cfg.spp_channel is not None:
-        return "internal", cfg.spp_channel
-    return cfg.spp_mode, ref_phys
+    if cfg.spp_mode == "external" and cfg.spp_channel is None:
+        raise PipelineError("external SPP mode needs the external channel index")
+    if cfg.spp_mode != "oracle" and cfg.spp_channel is not None:
+        return cfg.spp_mode, cfg.spp_channel
+    return cfg.spp_mode, cfg.partition.speech_noise_channels[cfg.partition.ref_channel]
 
 
 class InputAnalysis:
@@ -100,15 +97,16 @@ class InputAnalysis:
 
     The constructor checks every config, then builds the mixture grid and
     the mask and correlations of each distinct (mask source, SPP
-    parameters) key; a key whose build raises keeps the error for every
-    run that needs it. enhance only reads what was built (and hands each
-    prepared run out once), so it may run on several threads at once.
+    parameters) key. prepare, called once, builds each config's bank and
+    filters the shadow sources for all the banks; a mask or bank whose
+    build raises keeps the error for every run that needs it. enhance then
+    only filters the mixture grid with a prepared bank, so it may run on
+    several threads at once and gives the same result on every call.
 
     Reference clips must have the mixture's sample count. When both carry
-    every analysed channel, runs shadow-filter them too: each beside its
-    mixture filtering, or all at once in filter_shadows. Where the input
-    equals their sum on the analysed channels sample for sample, only the
-    speech is kept and filtered: the noise shadow is the rest.
+    every analysed channel, prepare shadow-filters them too. Where the
+    input equals their sum on the analysed channels sample for sample,
+    only the speech is kept and filtered: the noise shadow is the rest.
     """
 
     def __init__(self, clip: AudioClip, params: StftParams, speech_ref: AudioClip | None,
@@ -125,11 +123,11 @@ class InputAnalysis:
                 raise PipelineError(f"{name} reference has {ref.n_frames} samples "
                                     f"but the input has {clip.n_frames}")
         self._column = {c: j for j, c in enumerate(self.channels)}
-        self._configs = tuple(configs)
-        keys = dict.fromkeys(self._check(cfg)[1] for cfg in self._configs)
+        self._plans = {cfg: self._check(cfg) for cfg in configs}
+        keys = dict.fromkeys(key for _, key in self._plans.values())
         singles = sorted({c for (mode, c), _ in keys if mode != "oracle" and c not in self._column})
-        self._estimates: dict[tuple, tuple[SppMask, BinStatistics] | Exception] = {}
-        self._prepared: dict[EnhanceConfig, tuple] = {}
+        self._estimates: dict[tuple, tuple[SppMask, BinStatistics] | Exception] | None = {}
+        self._runs: dict[EnhanceConfig, tuple | Exception] = {}
         # shadow filtering needs the components at every analysed channel;
         # reference clips carrying fewer (e.g. mask-only single-channel
         # ground truth) simply skip it
@@ -185,19 +183,6 @@ class InputAnalysis:
             raise PipelineError(f"oracle mask shape {mask.beta.shape} does not match grid {shape}")
         return mask
 
-    def _bank(self, cfg: EnhanceConfig) -> tuple[SppMask, FilterBank]:
-        """cfg's mask and filter bank; raises the error its mask key kept."""
-        order, key = self._check(cfg)
-        if key not in self._estimates:
-            raise PipelineError(f"no mask was built for SPP source {key[0]} and {key[1]}")
-        estimate = self._estimates[key]
-        if isinstance(estimate, Exception):
-            raise estimate
-        mask, stats = estimate
-        if order != self.channels:
-            stats = stats.block([self._column[c] for c in order])
-        return mask, build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
-
     def _blocks(self, source: AudioClip | StftGrid):
         """(f0, (bins, b, channels) spectra of frames f0 .. f0 + b - 1): grid
         slices, or a clip's frames analysed on the spot into a reused buffer."""
@@ -228,36 +213,47 @@ class InputAnalysis:
                 synthesize(StftGrid(spectra[:, :, j : j + 1], params), out, f0)
         return [AudioClip(out[:, : self.grid.n_samples], params.sample_rate_hz) for out in outs]
 
-    def filter_shadows(self, lanes: int) -> None:
-        """Prepare a run for each constructor config: its bank, built on
-        `lanes` threads, and its shadows, each source filtered for all the
-        banks in one pass. The sources then go; a config whose bank fails
-        is left to its run, which builds it again and raises."""
+    def prepare(self, lanes: int) -> None:
+        """Build each constructor config's bank, on `lanes` threads, then
+        filter each shadow source for all the banks in one pass, the
+        sources spread over the lanes. The sources and the correlations go
+        afterwards; a second call raises."""
+        if self._estimates is None:
+            raise PipelineError("the analysis is already prepared")
 
-        def bank(cfg: EnhanceConfig) -> tuple | None:
+        def bank(cfg: EnhanceConfig) -> tuple | Exception:
+            order, key = self._plans[cfg]
+            estimate = self._estimates[key]
+            if isinstance(estimate, Exception):
+                return estimate
+            mask, stats = estimate
             try:
-                return cfg, *self._bank(cfg)
-            except Exception:  # the config's run raises it
-                return None
+                if order != self.channels:
+                    stats = stats.block([self._column[c] for c in order])
+                return mask, build_filterbank(stats, cfg.partition, cfg.method, cfg.delta)
+            except Exception as exc:  # raised again by every run of cfg
+                return exc
 
-        runs = [run for run in spread(bank, self._configs, lanes) if run]
-        sources = self.shadow_sources if runs else ()
-        shadows = [self._synthesized(s, [fb for _, _, fb in runs]) for s in sources]
-        for j, (cfg, mask, fb) in enumerate(runs):
-            self._prepared[cfg] = mask, fb, [clips[j] for clips in shadows]
-        self.shadow_sources = ()
+        runs = dict(zip(self._plans, spread(bank, list(self._plans), lanes)))
+        self._estimates = None
+        built = [cfg for cfg, run in runs.items() if not isinstance(run, Exception)]
+        banks = [runs[cfg][1] for cfg in built]
+        sources = self.shadow_sources if banks else ()
+        shadows = spread(lambda source: self._synthesized(source, banks), sources, lanes)
+        for j, cfg in enumerate(built):
+            runs[cfg] += (tuple(clips[j] for clips in shadows),)
+        self._runs, self.shadow_sources = runs, ()
 
     def enhance(self, cfg: EnhanceConfig) -> EnhanceResult:
-        """The enhance() result for this input under cfg, one of the
-        constructor's configs or one with the same mask key. A run that
-        filter_shadows prepared is handed out once."""
-        mask, fb, shadows = self._prepared.pop(cfg, None) or (*self._bank(cfg), [])
-        sources = [*self.shadow_sources, self.grid]  # just the grid once filter_shadows ran
-        *filtered, enhanced = spread(lambda s: self._synthesized(s, [fb])[0], sources,
-                                     usable_cores())
-        shadows += filtered
+        """The enhance() result for this input under cfg, one of the configs
+        prepare built a run for."""
+        run = self._runs.get(cfg) or PipelineError(f"the analysis was not prepared for {cfg}")
+        if isinstance(run, Exception):
+            raise run
+        mask, fb, shadows = run
+        enhanced = self._synthesized(self.grid, [fb])[0]
         if len(shadows) == 1:  # the input is speech plus noise
-            shadows.append(AudioClip(enhanced.samples - shadows[0].samples, enhanced.sample_rate_hz))
+            shadows += (AudioClip(enhanced.samples - shadows[0].samples, enhanced.sample_rate_hz),)
         shadow_speech, shadow_noise = shadows or (None, None)
         return EnhanceResult(enhanced, fb, mask, shadow_speech, shadow_noise)
 
@@ -270,4 +266,6 @@ def enhance(clip: AudioClip, cfg: EnhanceConfig, speech_ref: AudioClip | None = 
     channel layout); they drive oracle masking and shadow filtering.
     """
     channels = filter_partition(cfg.partition, cfg.method).ordered_channels
-    return InputAnalysis(clip, cfg.stft, speech_ref, noise_ref, channels, [cfg]).enhance(cfg)
+    analysis = InputAnalysis(clip, cfg.stft, speech_ref, noise_ref, channels, [cfg])
+    analysis.prepare(usable_cores())
+    return analysis.enhance(cfg)

@@ -215,6 +215,30 @@ def test_cmd_enhance_bad_config_exit_2(tmp_path, scene_dir, capsys):
         assert not (tmp_path / "o.wav").exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "nested_too_deep"])
+@pytest.mark.parametrize("command", ["enhance", "simulate"])
+def test_unreadable_config_file_exit_2(tmp_path, scene_dir, speech_wav, capsys, command, kind):
+    """A config path that names a directory, a file that is not UTF-8 or
+    JSON nested past the parser's recursion limit is a config error: exit 2
+    with one line, nothing written."""
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes('{"method": "pk-mwf", "note": "caf\xe9"}'.encode("latin-1"))
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    if command == "enhance":
+        argv = ["enhance", "--input", str(scene_dir / "mixture.wav"),
+                "--output", str(tmp_path / "o.wav"), "--config", str(path)]
+    else:
+        argv = ["simulate", "--scene-config", str(path),
+                "--output-dir", str(tmp_path / "out"), "--speech", speech_wav]
+    assert main(argv) == 2
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "o.wav").exists() and not (tmp_path / "out").exists()
+
+
 def test_cmd_enhance_processing_error_exit_3(tmp_path, scene_dir, config_file, speech_wav):
     code = main(
         [
@@ -539,6 +563,10 @@ def test_cmd_simulate_deterministic_bytes(tmp_path, speech_wav):
         {"seed": -1},
         # so fast that no blade-pass partial falls below 0.95 x Nyquist
         {"rotor_speeds_rpm": [300000.0, 4000.0, 4000.0, 4000.0]},
+        # the speech comes from --speech alone
+        {"speech_path": 5},
+        {"speech_path": None},
+        {"speech_path": "other.wav"},
     ],
 )
 def test_cmd_simulate_malformed_scene_config_exit_2(tmp_path, speech_wav, capsys, raw):
@@ -946,14 +974,17 @@ def test_sweep_mask_error_fails_exactly_its_mode(speech_wav, monkeypatch, lanes)
 def test_sweep_bank_error_fails_exactly_its_cells(speech_wav, monkeypatch):
     """A filter bank that raises while the scene prepares its cells fails
     those cells' rows with its message; the other cells keep their
-    prepared shadows."""
+    prepared shadows. Each bank is built once: a failed one is not built
+    again by its cell."""
     import egomwf.cli as cli
     import egomwf.pipeline
     from egomwf.filters import FilterError
 
     real = egomwf.pipeline.build_filterbank
+    calls = []
 
     def singular(stats, partition, method, delta):
+        calls.append(method)
         if method == "mwf":
             raise FilterError("singular noise-reference Gram matrix")
         return real(stats, partition, method, delta)
@@ -961,6 +992,7 @@ def test_sweep_bank_error_fails_exactly_its_cells(speech_wav, monkeypatch):
     monkeypatch.setattr(egomwf.pipeline, "build_filterbank", singular)
     monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
     rows = cli._run_scene_group(_short_scene_cfg(speech_wav), 2)
+    assert sorted(calls) == sorted(METHODS * len(SPP_MODES))
     failed = [r for r in rows if r["method"] == "mwf"]
     assert len(failed) == 3
     assert all(r["status"] == "failed: singular noise-reference Gram matrix" for r in failed)

@@ -215,15 +215,23 @@ def test_shared_analysis_rejects_runs_it_cannot_serve(default_scene):
         analysis(EnhanceConfig(partition=suite_partition(4), method="mwf", stft=StftParams(hop=128)))
     cfgs = [EnhanceConfig(partition=suite_partition(m), method="mwf") for m in (4, 8)]
     shared = analysis(*cfgs)
+    # nothing is served before prepare, and prepare runs once
+    with pytest.raises(PipelineError, match="not prepared for"):
+        shared.enhance(cfgs[0])
+    shared.prepare(2)
+    with pytest.raises(PipelineError, match="already prepared"):
+        shared.prepare(2)
     run = shared.enhance(cfgs[0])
     again = shared.enhance(cfgs[1])
     assert run.mask is again.mask
     assert shared.grid.n_channels == 8
     with pytest.raises(PipelineError):
         shared.enhance(EnhanceConfig(partition=suite_partition(12), method="mwf"))
-    # a mask source it was not built for
-    with pytest.raises(PipelineError, match="no mask was built"):
-        shared.enhance(replace(cfgs[0], spp_mode="external", spp_channel=16))
+    # a config it was not prepared for, even one its analysis could serve
+    for other in (replace(cfgs[0], spp_mode="external", spp_channel=16),
+                  replace(cfgs[0], method="pk-mwf")):
+        with pytest.raises(PipelineError, match="not prepared for"):
+            shared.enhance(other)
 
 
 def _counting_analyze(monkeypatch):
@@ -275,6 +283,7 @@ def test_external_spp_outside_filter_channels_matches_full_grid(default_scene, m
     # a second mask from channel 16 reuses its single-channel analysis
     other = replace(cfg, spp=SppParams(threshold=0.6))
     analysis = InputAnalysis(default_scene.mixture, StftParams(), None, None, range(4), [cfg, other])
+    analysis.prepare(1)
     result = analysis.enhance(cfg)
     assert np.array_equal(result.mask.spp, mask.spp)
     assert np.array_equal(result.mask.beta, mask.beta)
@@ -295,10 +304,10 @@ def _inline_shadow(ref, fb, params):
 
 
 def test_prepared_shadows_match_single_runs(default_scene):
-    """filter_shadows filters the speech image once for both configs: each
-    prepared run's output equals a single run's bit for bit, its speech
-    shadow the single run's within 1e-12 relative (one stacked product
-    instead of one per bank), and its noise shadow is the output less it."""
+    """prepare filters the speech image once for both configs: each run's
+    output equals a single run's bit for bit, its speech shadow the single
+    run's within 1e-12 relative (one stacked product instead of one per
+    bank), and its noise shadow is the output less it."""
     from egomwf.pipeline import InputAnalysis
 
     part = ChannelPartition(tuple(range(12)), (12, 13, 14, 15), 0)
@@ -309,7 +318,7 @@ def test_prepared_shadows_match_single_runs(default_scene):
         scene.mixture, StftParams(), scene.speech_image, scene.noise_image, range(16), configs
     )
     assert len(analysis.shadow_sources) == 1 and analysis.shadow_sources[0] is scene.speech_image
-    analysis.filter_shadows(2)
+    analysis.prepare(2)
     assert analysis.shadow_sources == ()
     for cfg in configs:
         prepared = analysis.enhance(cfg)
@@ -323,9 +332,10 @@ def test_prepared_shadows_match_single_runs(default_scene):
         for run in (prepared, alone):
             rest = run.enhanced.samples - run.shadow_speech.samples
             assert np.array_equal(run.shadow_noise.samples, rest)
-    # a prepared run is handed out once; the sources are gone after the pass
-    again = analysis.enhance(configs[0])
-    assert again.shadow_speech is None and again.shadow_noise is None
+    # a run gives the same output and shadows on every call
+    first, again = analysis.enhance(configs[0]), analysis.enhance(configs[0])
+    for name in ("enhanced", "shadow_speech", "shadow_noise"):
+        assert np.array_equal(getattr(again, name).samples, getattr(first, name).samples)
 
 
 def test_noise_shadow_by_linearity_only_when_the_sum_is_exact(default_scene):
@@ -343,6 +353,8 @@ def test_noise_shadow_by_linearity_only_when_the_sum_is_exact(default_scene):
     assert summed.shadow_sources == (scene.speech_image,)
     apart = InputAnalysis(scene.mixture, cfg.stft, scene.speech_image, bent, range(16), [cfg])
     assert apart.shadow_sources == (scene.speech_image, bent)
+    for analysis in (summed, apart):
+        analysis.prepare(2)
     result = apart.enhance(cfg)
     assert np.array_equal(result.enhanced.samples, summed.enhance(cfg).enhanced.samples)
     for ref, shadow in ((scene.speech_image, result.shadow_speech), (bent, result.shadow_noise)):
@@ -377,7 +389,7 @@ def test_input_analysis_holds_no_component_grid(default_scene):
         scene.mixture, StftParams(), scene.speech_image, scene.noise_image, range(16), configs
     )
     assert [g is analysis.grid for g in grids(analysis, set())] == [True]
-    analysis.filter_shadows(1)
+    analysis.prepare(1)
     assert [g is analysis.grid for g in grids(analysis, set())] == [True]
 
 
