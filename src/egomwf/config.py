@@ -75,7 +75,7 @@ def _known_keys(section: dict, allowed: set[str]) -> dict:
 
 
 def _build_stft(section: dict) -> StftParams:
-    return StftParams(**_known_keys(section, {"fft_size", "hop", "sample_rate_hz"}))
+    return StftParams(**_known_keys(section, {"fft_size", "sample_rate_hz"}))
 
 
 def _build_spp(section: dict) -> SppParams:

@@ -81,7 +81,7 @@ def _stoi_frames(x: np.ndarray) -> np.ndarray:
 
 def _kept(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """y rebuilt by overlap-adding its frames where keep is set."""
-    return overlap_add(_stoi_frames(y)[keep], _STOI_HOP)
+    return overlap_add(_stoi_frames(y)[keep])
 
 
 def _third_octave_matrix() -> np.ndarray:
@@ -123,7 +123,7 @@ def _stoi_reference(x: np.ndarray) -> _StoiReference:
     frames = _stoi_frames(x)
     energies = 20.0 * np.log10(np.linalg.norm(frames, axis=1) + _EPS)
     keep = energies > np.max(energies) - _STOI_DYN_RANGE_DB
-    xb = _band_envelopes(overlap_add(frames[keep], _STOI_HOP), _third_octave_matrix())
+    xb = _band_envelopes(overlap_add(frames[keep]), _third_octave_matrix())
     if xb.shape[1] < _STOI_SEG:
         raise MetricsError(
             f"only {xb.shape[1]} non-silent frames; need {_STOI_SEG} (~384 ms of speech)"

@@ -199,19 +199,18 @@ class InputAnalysis:
     def _synthesized(self, source: AudioClip | StftGrid, banks: list[FilterBank]) -> list:
         """[synthesize(apply_filterbank(grid)) of source under each bank],
         block by block: one stacked product (bins, b, channels) @ (bins,
-        channels, banks) per block, each bank's frames synthesized into its
-        own output. One bank's product is apply_filterbank's BLAS call on
-        fewer rows, so its output is bit for bit the whole grid's."""
+        channels, banks) and one synthesis of it, the banks as channels,
+        into one output row per bank (a 10 s sweep scene's 27 rows in one
+        35 MB buffer pass glibc's mmap ceiling and cannot reuse freed heap).
+        Each output is the whole grid's bit for bit: with one bank the
+        product is apply_filterbank's BLAS call on fewer rows."""
         params, width = self.params, len(self.channels)
         columns = [[self._column[c] for c in fb.partition.ordered_channels] for fb in banks]
         weights = np.stack([_conj_weights(*bank, width) for bank in zip(banks, columns)], axis=-1)
-        overlap = -(-params.fft_size // params.hop)
-        outs = [np.zeros((1, (self.grid.n_frames + overlap - 1) * params.hop)) for _ in banks]
+        outs = [np.zeros((self.grid.n_frames + 1) * params.hop) for _ in banks]
         for f0, block in self._blocks(source):
-            spectra = block @ weights
-            for j, out in enumerate(outs):
-                synthesize(StftGrid(spectra[:, :, j : j + 1], params), out, f0)
-        return [AudioClip(out[:, : self.grid.n_samples], params.sample_rate_hz) for out in outs]
+            synthesize(StftGrid(block @ weights, params), outs, f0)
+        return [AudioClip(out[None, : self.grid.n_samples], params.sample_rate_hz) for out in outs]
 
     def prepare(self, lanes: int) -> None:
         """Build each constructor config's bank, on `lanes` threads, then

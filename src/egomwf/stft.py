@@ -1,9 +1,9 @@
 """STFT analysis/synthesis with a square-root periodic Hann window.
 
-The 512-point window at 50% overlap satisfies exact COLA, so a matched
-analysis/synthesis pair reconstructs the interior of the signal to
-machine precision. One-sided spectra only; all downstream per-bin math
-runs on bins 0..fft_size/2.
+The hop is always half the frame, where the squared windows sum to one:
+a matched analysis/synthesis pair reconstructs the interior of the signal
+to machine precision, each sample from two frames. One-sided spectra
+only; all downstream per-bin math runs on bins 0..fft_size/2.
 """
 
 from __future__ import annotations
@@ -35,16 +35,17 @@ def sqrt_hann_periodic(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class StftParams:
     fft_size: int = 512
-    hop: int = 256
     sample_rate_hz: int = 16000
 
     def __post_init__(self):
         if type(self.fft_size) is not int or self.fft_size < 8 or self.fft_size % 2 != 0:
             raise StftError(f"fft_size must be an even integer >= 8, got {self.fft_size!r}")
-        if type(self.hop) is not int or not 0 < self.hop <= self.fft_size:
-            raise StftError(f"hop must be an integer in 1..fft_size, got {self.hop!r}")
         if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:
             raise StftError(f"sample_rate_hz must be an integer > 0, got {self.sample_rate_hz!r}")
+
+    @property
+    def hop(self) -> int:
+        return self.fft_size // 2
 
     @property
     def n_bins(self) -> int:
@@ -96,26 +97,22 @@ def frame_view(x: np.ndarray, size: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, size, axis=-1)[..., ::hop, :]
 
 
-def overlap_add(
-    frames: np.ndarray, hop: int, out: np.ndarray | None = None, start: int = 0
-) -> np.ndarray:
-    """Sum frames (..., F, N) placed hop samples apart: (..., (F-1)*hop + N).
+def overlap_add(frames: np.ndarray, out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+    """Sum frames (..., F, N) of even length N placed N/2 samples apart:
+    (..., (F + 1) * N/2).
 
-    Each output sample adds its frames in increasing frame order, the
-    same order as a frame-by-frame loop, so the sums match it bit for bit.
-    Given out (..., whole hops, reshapable without a copy), the frames are
-    added into it from sample start*hop on and out is returned whole.
+    Each output sample sums two frames in frame order, (0 + second half of
+    frame f-1) + first half of frame f, as a frame-by-frame loop does, so
+    the sums match it bit for bit. Given out (..., whole hops, reshapable
+    without a copy), the frames are added into it from hop `start` on.
     """
-    n_frames, size = frames.shape[-2:]
-    k = -(-size // hop)  # frames overlapping one hop-sized block
-    whole = out is None
-    if whole:
-        out = np.zeros(frames.shape[:-2] + ((n_frames + k - 1) * hop,))
+    n_frames, hop = frames.shape[-2], frames.shape[-1] // 2
+    if out is None:
+        out = np.zeros(frames.shape[:-2] + ((n_frames + 1) * hop,))
     acc = np.reshape(out, out.shape[:-1] + (-1, hop), copy=False)
-    for j in range(k - 1, -1, -1):
-        part = frames[..., j * hop : (j + 1) * hop]
-        acc[..., start + j : start + j + n_frames, : part.shape[-1]] += part
-    return out[..., : (n_frames - 1) * hop + size] if whole else out
+    acc[..., start + 1 : start + 1 + n_frames, :] += frames[..., hop:]
+    acc[..., start : start + n_frames, :] += frames[..., :hop]
+    return out
 
 
 def _frame_spectra(clip: AudioClip, params: StftParams, channels: Sequence[int], block: int):
@@ -188,23 +185,25 @@ def analyze(
     return StftGrid(spec, params, n_samples=n)
 
 
-def synthesize(grid: StftGrid, out: np.ndarray | None = None, first: int = 0) -> AudioClip | None:
+def synthesize(grid: StftGrid, out: Sequence[np.ndarray] | None = None,
+               first: int = 0) -> AudioClip | None:
     """Overlap-add inverse with the matched synthesis window.
 
     Output is trimmed to the analyzed length when the grid records it.
-    Perfect reconstruction holds on the COLA-valid interior; the first
-    and last (fft_size - hop) samples carry partial window overlap.
+    Perfect reconstruction holds on the interior; the first and last hop
+    samples carry one frame only.
 
-    Given out, zeros (channels, (frames + ceil(fft_size / hop) - 1) * hop)
-    for the whole signal, the grid is its block from frame `first` on:
-    the frames are added into out and nothing is returned. Blocks given
-    in frame order sum as the whole grid would, bit for bit.
+    Given out, one zeroed row of (frames + 1) * hop samples per channel
+    (a 2-D array or a list of rows), the grid is its block from frame
+    `first` on: its frames are added into out and nothing is returned.
+    Blocks given in frame order sum as the whole grid would, bit for bit.
     """
     params = grid.params
     w = params.window_values()
     frames = np.fft.irfft(grid.data.transpose(2, 1, 0), n=params.fft_size, axis=2) * w
     if out is not None:
-        overlap_add(frames, params.hop, out, first)
+        for channel, row in zip(frames, out):
+            overlap_add(channel, row, first)
         return None
-    samples = overlap_add(frames, params.hop)[:, : grid.n_samples]
+    samples = overlap_add(frames)[:, : grid.n_samples]
     return AudioClip(samples, params.sample_rate_hz)

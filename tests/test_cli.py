@@ -176,6 +176,9 @@ BAD_CONFIGS = [
     # integers given as floats or bools
     f'{{{_PARTITION}, "stft": {{"fft_size": 512.0}}}}',
     f'{{{_PARTITION}, "stft": {{"hop": true}}}}',
+    # the hop is always half of fft_size and cannot be set
+    f'{{{_PARTITION}, "stft": {{"hop": 256}}}}',
+    f'{{{_PARTITION}, "stft": {{"hop": 128}}}}',
     f'{{{_PARTITION}, "stft": {{"sample_rate_hz": 16000.5}}}}',
     f'{{{_PARTITION}, "spp": {{"init_frames": 2.5}}}}',
     f'{{{_PARTITION}, "spp": {{"init_frames": true}}}}',

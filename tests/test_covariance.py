@@ -7,7 +7,7 @@ from egomwf.stft import StftGrid, StftParams
 
 
 def _make_grid(rng, bins=17, frames=30, channels=4):
-    params = StftParams(fft_size=(bins - 1) * 2, hop=bins - 1)
+    params = StftParams(fft_size=(bins - 1) * 2)
     data = rng.standard_normal((bins, frames, channels)) + 1j * rng.standard_normal(
         (bins, frames, channels)
     )

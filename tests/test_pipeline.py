@@ -13,7 +13,7 @@ from egomwf.stft import StftGrid, StftParams, analyze
 
 
 def _grid(rng, bins=9, frames=12, channels=3):
-    params = StftParams(fft_size=(bins - 1) * 2, hop=bins - 1)
+    params = StftParams(fft_size=(bins - 1) * 2)
     data = rng.standard_normal((bins, frames, channels)) + 1j * rng.standard_normal(
         (bins, frames, channels)
     )
@@ -212,7 +212,7 @@ def test_shared_analysis_rejects_runs_it_cannot_serve(default_scene):
     with pytest.raises(PipelineError):
         analysis(EnhanceConfig(partition=suite_partition(4), method="pk-mwf"))
     with pytest.raises(PipelineError):
-        analysis(EnhanceConfig(partition=suite_partition(4), method="mwf", stft=StftParams(hop=128)))
+        analysis(EnhanceConfig(partition=suite_partition(4), method="mwf", stft=StftParams(fft_size=256)))
     cfgs = [EnhanceConfig(partition=suite_partition(m), method="mwf") for m in (4, 8)]
     shared = analysis(*cfgs)
     # nothing is served before prepare, and prepare runs once
@@ -395,26 +395,37 @@ def test_input_analysis_holds_no_component_grid(default_scene):
 
 @pytest.mark.parametrize("channels", [(5,), (9, 2, 14, 0), tuple(range(16))])
 def test_blocked_filter_matches_whole_grid_synthesis(rng, channels):
-    """A grid or a clip filtered _BLOCK frames at a time equals
-    synthesize(apply_filterbank(analyze(...))) bit for bit, at lengths
-    around one frame and around whole blocks."""
-    from egomwf.pipeline import _BLOCK, InputAnalysis
+    """A grid or a clip filtered _BLOCK frames at a time equals a
+    whole-grid synthesis bit for bit, at lengths around one frame and
+    around whole blocks: one bank gives synthesize(apply_filterbank(...)),
+    and three banks in one call give the whole grid's stacked product,
+    within rounding of each bank's own apply_filterbank."""
+    from egomwf.pipeline import _BLOCK, InputAnalysis, _conj_weights
     from egomwf.stft import synthesize
 
     params = StftParams()
     nfft, hop = params.fft_size, params.hop
     part = ChannelPartition(channels[:1], channels[1:], 0)
     shape = (params.n_bins, len(channels))
-    fb = _bank(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), part)
+    banks = [_bank(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), part)
+             for _ in range(3)]
+    stacked = np.stack([_conj_weights(fb, channels, 16) for fb in banks], axis=-1)
     for n in (nfft, nfft + 1, _BLOCK * hop, 2 * _BLOCK * hop, _BLOCK * hop + 1, 37 * hop + 3):
         clip = AudioClip(rng.standard_normal((16, n)), params.sample_rate_hz)
         analysis = InputAnalysis(clip, params, None, None, range(16), [])
         grid = analyze(clip, params)
-        d = apply_filterbank(grid, fb, channels)
-        expected = synthesize(StftGrid(d[:, :, None], params, n)).samples
+        own = [synthesize(StftGrid(apply_filterbank(grid, fb, channels)[:, :, None], params, n))
+               for fb in banks]
+        whole = synthesize(StftGrid(grid.data @ stacked, params, n)).samples
         for source in (analysis.grid, clip):
-            filtered = analysis._synthesized(source, [fb])[0]
-            assert np.array_equal(filtered.samples, expected), (n, source)
+            assert np.array_equal(analysis._synthesized(source, banks[:1])[0].samples,
+                                  own[0].samples), (n, source)
+            filtered = analysis._synthesized(source, banks)
+            assert len(filtered) == len(banks)
+            for j, (got, want) in enumerate(zip(filtered, own)):
+                assert np.array_equal(got.samples[0], whole[j]), (n, source, j)
+                assert np.max(np.abs(got.samples - want.samples)) <= 1e-12 * np.max(
+                    np.abs(want.samples)), (n, source, j)
 
 
 def test_single_run_shadow_enhance_holds_no_component_grid(default_scene):

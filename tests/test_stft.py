@@ -52,8 +52,9 @@ def test_all_zero_clip():
     assert back.n_frames == 2048
 
 
-def test_perfect_reconstruction_interior(rng):
-    params = StftParams()
+@pytest.mark.parametrize("nfft", [8, 16, 256, 512, 1024])
+def test_perfect_reconstruction_interior(rng, nfft):
+    params = StftParams(fft_size=nfft)
     x = rng.uniform(-1, 1, (2, 48000))
     grid = analyze(AudioClip(x, 16000), params)
     back = synthesize(grid)
@@ -113,10 +114,14 @@ def test_grid_validation():
 
 
 def test_params_validation():
-    with pytest.raises(StftError):
-        StftParams(fft_size=7)
-    with pytest.raises(StftError):
-        StftParams(hop=0)
+    for bad in (7, 6, 0, 512.0, True):
+        with pytest.raises(StftError):
+            StftParams(fft_size=bad)
+    # the hop is half the frame, never a setting of its own
+    assert StftParams().hop == 256
+    assert StftParams(fft_size=1024).hop == 512
+    with pytest.raises(TypeError):
+        StftParams(hop=256)
 
 
 def test_sqrt_hann_is_periodic():
@@ -148,13 +153,21 @@ def test_analyze_matches_per_frame_reference(rng):
                 assert np.array_equal(grid.data[:, f, col], np.fft.rfft(frame * w))
 
 
-@pytest.mark.parametrize("nfft, hop", [(512, 256), (16, 4), (16, 5), (16, 16)])
-def test_overlap_add_matches_loop(rng, nfft, hop):
+@pytest.mark.parametrize("block", [1, 2, 3, 32])
+@pytest.mark.parametrize("nfft", [8, 16, 512])
+def test_overlap_add_matches_loop(rng, nfft, block):
+    """The whole sum, and blocks of frames added in frame order into one
+    buffer, equal a frame-by-frame loop bit for bit."""
+    hop = nfft // 2
     frames = rng.standard_normal((2, 9, nfft))
-    ref = np.zeros((2, 8 * hop + nfft))
+    ref = np.zeros((2, 10 * hop))
     for f in range(9):
         ref[:, f * hop : f * hop + nfft] += frames[:, f, :]
-    assert np.array_equal(overlap_add(frames, hop), ref)
+    assert np.array_equal(overlap_add(frames), ref)
+    out = np.zeros_like(ref)
+    for f0 in range(0, 9, block):
+        assert overlap_add(frames[:, f0 : f0 + block], out, f0) is out
+    assert np.array_equal(out, ref)
 
 
 def test_synthesize_matches_loop_overlap_add(rng):
@@ -168,20 +181,24 @@ def test_synthesize_matches_loop_overlap_add(rng):
     assert np.array_equal(synthesize(grid).samples, ref[:, :3000])
 
 
-@pytest.mark.parametrize("nfft, hop, block", [(512, 256, 32), (16, 4, 3), (16, 5, 2), (16, 16, 1)])
-def test_blockwise_synthesis_matches_whole_grid(rng, nfft, hop, block):
-    """Frames synthesized block by block into one buffer, in frame order,
-    sum bit for bit as the whole grid, also where more than two frames
-    overlap a sample."""
-    params = StftParams(fft_size=nfft, hop=hop)
+@pytest.mark.parametrize("block", [1, 2, 3, 32])
+@pytest.mark.parametrize("nfft", [8, 16, 512])
+def test_blockwise_synthesis_matches_whole_grid(rng, nfft, block):
+    """Frames synthesized block by block into one buffer, or into a list of
+    per-channel rows, in frame order, sum bit for bit as the whole grid."""
+    params = StftParams(fft_size=nfft)
+    hop = params.hop
     n = 11 * hop + nfft // 2 + 1
     grid = analyze(AudioClip(rng.standard_normal((2, n)), 16000), params)
-    out = np.zeros((2, (grid.n_frames + -(-nfft // hop) - 1) * hop))
+    out = np.zeros((2, (grid.n_frames + 1) * hop))
+    rows = [np.zeros((grid.n_frames + 1) * hop) for _ in range(2)]
     for f0 in range(0, grid.n_frames, block):
         part = StftGrid(grid.data[:, f0 : f0 + block], params)
         assert synthesize(part, out, f0) is None
+        assert synthesize(part, rows, f0) is None
     assert np.array_equal(out[:, :n], synthesize(grid).samples)
-    assert not np.any(out[:, (grid.n_frames - 1) * hop + nfft :])
+    assert np.array_equal(out, synthesize(StftGrid(grid.data, params)).samples)
+    assert np.array_equal(np.stack(rows), out)
 
 
 def test_analyze_grid_is_c_contiguous(rng):
@@ -220,21 +237,29 @@ def _padded_frame_reference(x, params, channels):
     return ref
 
 
-@pytest.mark.parametrize("nfft, hop", [(512, 256), (16, 5), (16, 16)])
+@pytest.mark.parametrize("block", [1, 2, 3, 32])
+@pytest.mark.parametrize("nfft", [8, 16, 512])
 @pytest.mark.parametrize(
     "length", ["fft_size", "fft_size+1", "multiple_of_hop", "k_hops+1", "many_blocks"]
 )
 @pytest.mark.parametrize("channels", [None, [3, 0, 2], [4, 1, 1]])
-def test_analyze_frames_from_signal_match_padded_reference(rng, nfft, hop, length, channels):
-    """Full frames read from the signal and tail frames from a padded copy
-    give exactly the spectra of a padded signal, frame by frame."""
-    params = StftParams(fft_size=nfft, hop=hop)
+def test_analyze_frames_from_signal_match_padded_reference(
+    rng, monkeypatch, nfft, block, length, channels
+):
+    """Full frames read from the signal and tail frames from a padded copy,
+    `block` frames at a time, give exactly the spectra of a padded signal,
+    frame by frame."""
+    import egomwf.stft
+
+    monkeypatch.setattr(egomwf.stft, "_BLOCK", block)
+    params = StftParams(fft_size=nfft)
+    hop = params.hop
     n = {
         "fft_size": nfft,
         "fft_size+1": nfft + 1,
         "multiple_of_hop": 7 * hop,
         "k_hops+1": 7 * hop + 1,
-        "many_blocks": 37 * hop + 3,  # two full 16-frame blocks and a partial one
+        "many_blocks": 37 * hop + 3,  # full blocks and a partial one
     }[length]
     x = rng.standard_normal((5, n))
     listed = list(range(5)) if channels is None else channels
