@@ -46,8 +46,8 @@ class EnhanceConfig:
             violations.append(f"method must be one of {METHODS}, got {self.method!r}")
         if self.spp_mode not in SPP_MODES:
             violations.append(f"spp_mode must be one of {SPP_MODES}, got {self.spp_mode!r}")
-        if not 0 <= self.delta < math.inf:
-            violations.append(f"delta must be >= 0 and finite, got {self.delta}")
+        if isinstance(self.delta, bool) or not 0 <= self.delta < math.inf:
+            violations.append(f"delta must be a number >= 0 and finite, got {self.delta!r}")
         if self.spp_channel is not None and not is_channel(self.spp_channel):
             violations.append(f"spp_channel must be a non-negative integer, got {self.spp_channel!r}")
         if violations:
@@ -81,7 +81,12 @@ def _build_stft(section: dict) -> StftParams:
 def _build_spp(section: dict) -> SppParams:
     section = dict(section)
     if "xi_h1_db" in section:
-        section["xi_h1"] = 10.0 ** (float(section.pop("xi_h1_db")) / 10.0)
+        if "xi_h1" in section:
+            raise ValueError("set xi_h1 or xi_h1_db, not both")
+        db = section.pop("xi_h1_db")
+        if isinstance(db, bool):
+            raise TypeError(f"xi_h1_db must be a number, got {db!r}")
+        section["xi_h1"] = 10.0 ** (float(db) / 10.0)
     allowed = {"xi_h1", "alpha_psd", "spp_cap", "init_frames", "threshold"}
     return SppParams(**_known_keys(section, allowed))
 
@@ -120,7 +125,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> EnhanceConfig:
     # keys the file leaves out take EnhanceConfig's defaults
     settings = {k: raw[k] for k in ("spp_mode", "spp_channel", "method", "delta") if k in raw}
     try:
-        if "delta" in settings:
+        if "delta" in settings and not isinstance(settings["delta"], bool):
             settings["delta"] = float(settings["delta"])
         return EnhanceConfig(partition=partition, stft=stft, spp=spp, **settings)
     except (TypeError, ValueError) as exc:

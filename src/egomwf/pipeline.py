@@ -11,9 +11,10 @@ less the speech shadow.
 Everything before the filter depends on the input and the mask source,
 not on method or array size, so an InputAnalysis serves many runs on one
 input, and every run comes from one: enhance() prepares it for a single
-config, the sweep for all the cells of a scene. No component is held as
-a grid: prepare analyses, filters and synthesizes the reference clips
-_BLOCK frames at a time, once for all the banks.
+config, the sweep for all the cells of a scene. A run filters the whole
+mixture grid with apply_filterbank. The reference clips are never held
+as grids: prepare analyses, filters and synthesizes them _BLOCK frames
+at a time, once for all the banks.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def _conj_weights(fb: FilterBank, channels: Sequence[int], width: int) -> np.nda
 
 
 def apply_filterbank(grid: StftGrid, fb: FilterBank, channels: Sequence[int]) -> np.ndarray:
-    """d(k, l) = w(k)^H y(k, l).
+    """d(k, l) = w(k)^H y(k, l) on every frame of the grid: (bins, frames),
+    the mixture filter of InputAnalysis.enhance.
 
     channels lists the grid channels the weights act on, in weight
     order. They are served by spreading the weights to the full grid
@@ -100,7 +102,7 @@ class InputAnalysis:
     parameters) key. prepare, called once, builds each config's bank and
     filters the shadow sources for all the banks; a mask or bank whose
     build raises keeps the error for every run that needs it. enhance then
-    only filters the mixture grid with a prepared bank, so it may run on
+    only filters the whole mixture grid with a prepared bank, so it may run on
     several threads at once and gives the same result on every call.
 
     Reference clips must have the mixture's sample count. When both carry
@@ -177,39 +179,26 @@ class InputAnalysis:
         if None in refs:
             raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
         at_channel = [ref.channel(channel) if ref.n_channels > 1 else ref for ref in refs]
-        mask = make_oracle_mask(*at_channel, self.params)
-        shape = self.grid.data.shape[:2]
-        if mask.beta.shape != shape:
-            raise PipelineError(f"oracle mask shape {mask.beta.shape} does not match grid {shape}")
-        return mask
+        return make_oracle_mask(*at_channel, self.params)
 
-    def _blocks(self, source: AudioClip | StftGrid):
-        """(f0, (bins, b, channels) spectra of frames f0 .. f0 + b - 1): grid
-        slices, or a clip's frames analysed on the spot into a reused buffer."""
-        if isinstance(source, StftGrid):
-            for f0 in range(0, source.n_frames, _BLOCK):
-                yield f0, source.data[:, f0 : f0 + _BLOCK]
-            return
-        buf = np.empty((self.params.n_bins, _BLOCK, len(self.channels)), dtype=np.complex128)
-        for f0, spectra in _frame_spectra(source, self.params, self.channels, _BLOCK):
-            b = spectra.shape[1]
-            buf[:, :b] = spectra.transpose(2, 1, 0)
-            yield f0, buf[:, :b]
-
-    def _synthesized(self, source: AudioClip | StftGrid, banks: list[FilterBank]) -> list:
-        """[synthesize(apply_filterbank(grid)) of source under each bank],
-        block by block: one stacked product (bins, b, channels) @ (bins,
-        channels, banks) and one synthesis of it, the banks as channels,
-        into one output row per bank (a 10 s sweep scene's 27 rows in one
-        35 MB buffer pass glibc's mmap ceiling and cannot reuse freed heap).
-        Each output is the whole grid's bit for bit: with one bank the
-        product is apply_filterbank's BLAS call on fewer rows."""
+    def _synthesized(self, source: AudioClip, banks: list[FilterBank]) -> list:
+        """[synthesize(apply_filterbank(analyze(source))) under each bank],
+        _BLOCK frames at a time: each block's spectra, transposed into one
+        reused (bins, b, channels) buffer, take one stacked product with
+        (bins, channels, banks) and one synthesis of it, the banks as
+        channels, into one output row per bank (a 10 s sweep scene's 27
+        rows in one 35 MB buffer pass glibc's mmap ceiling and cannot reuse
+        freed heap). With one bank each output is the whole grid's bit for
+        bit: the product is apply_filterbank's BLAS call on fewer rows."""
         params, width = self.params, len(self.channels)
         columns = [[self._column[c] for c in fb.partition.ordered_channels] for fb in banks]
         weights = np.stack([_conj_weights(*bank, width) for bank in zip(banks, columns)], axis=-1)
         outs = [np.zeros((self.grid.n_frames + 1) * params.hop) for _ in banks]
-        for f0, block in self._blocks(source):
-            synthesize(StftGrid(block @ weights, params), outs, f0)
+        buf = np.empty((params.n_bins, _BLOCK, width), dtype=np.complex128)
+        for f0, spectra in _frame_spectra(source, params, self.channels, _BLOCK):
+            b = spectra.shape[1]
+            buf[:, :b] = spectra.transpose(2, 1, 0)
+            synthesize(StftGrid(buf[:, :b] @ weights, params), outs, f0)
         return [AudioClip(out[None, : self.grid.n_samples], params.sample_rate_hz) for out in outs]
 
     def prepare(self, lanes: int) -> None:
@@ -250,7 +239,9 @@ class InputAnalysis:
         if isinstance(run, Exception):
             raise run
         mask, fb, shadows = run
-        enhanced = self._synthesized(self.grid, [fb])[0]
+        columns = [self._column[c] for c in fb.partition.ordered_channels]
+        filtered = apply_filterbank(self.grid, fb, columns)[:, :, None]
+        enhanced = synthesize(StftGrid(filtered, self.params, self.grid.n_samples))
         if len(shadows) == 1:  # the input is speech plus noise
             shadows += (AudioClip(enhanced.samples - shadows[0].samples, enhanced.sample_rate_hz),)
         shadow_speech, shadow_noise = shadows or (None, None)

@@ -36,8 +36,8 @@ class SppParams:
             raise SppError(f"spp_cap must be in (0,1), got {self.spp_cap}")
         if not 0.0 < self.threshold < 1.0:
             raise SppError(f"threshold must be in (0,1), got {self.threshold}")
-        if not 0 < self.xi_h1 < np.inf:
-            raise SppError(f"xi_h1 must be positive and finite, got {self.xi_h1}")
+        if isinstance(self.xi_h1, bool) or not 0 < self.xi_h1 < np.inf:
+            raise SppError(f"xi_h1 must be a positive finite number, got {self.xi_h1!r}")
         if type(self.init_frames) is not int or self.init_frames < 1:
             raise SppError(f"init_frames must be an integer >= 1, got {self.init_frames!r}")
 

@@ -199,8 +199,8 @@ def synthesize(grid: StftGrid, out: Sequence[np.ndarray] | None = None,
     Blocks given in frame order sum as the whole grid would, bit for bit.
     """
     params = grid.params
-    w = params.window_values()
-    frames = np.fft.irfft(grid.data.transpose(2, 1, 0), n=params.fft_size, axis=2) * w
+    frames = np.fft.irfft(grid.data.transpose(2, 1, 0), n=params.fft_size, axis=2)
+    frames *= params.window_values()  # in place: one frames-sized buffer, not two
     if out is not None:
         for channel, row in zip(frames, out):
             overlap_add(channel, row, first)

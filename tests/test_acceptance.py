@@ -5,12 +5,15 @@ criteria complete. The sweep-based criteria share a session fixture so
 the 3-seed grid is computed once.
 """
 
+import json
+import math
 import time
 
 import numpy as np
 import pytest
 
 from conftest import rand_hermitian, rand_speech_pencil
+from make_sweep_table import ENHANCE_TABLE, SWEEP_TABLE, enhance_runs, enhance_summary
 from egomwf.audio_io import AudioClip
 from egomwf.cli import run_sweep, write_sweep_outputs
 from egomwf.config import EnhanceConfig
@@ -380,9 +383,45 @@ def test_acceptance_10_full_sweep_runtime_and_reproducibility(speech_wav, tmp_pa
         (dir_a / "results.json").read_bytes() == (dir_b / "results.json").read_bytes()
     )
     all_ok = all(r["status"] == "ok" for r in rows_a)
-    ok = len(rows_a) == 81 and elapsed <= 600.0 and identical and all_ok
+    moved = _table_distance(rows_a, json.loads(SWEEP_TABLE.read_text()))
+    ok = len(rows_a) == 81 and elapsed <= 600.0 and identical and all_ok and moved <= 1e-9
     _verdict(
         10, "full-sweep", ok,
         f"81 cells in {elapsed:.1f}s (limit 600s), bit-reproducible={identical}, "
-        f"all cells ok={all_ok}",
+        f"all cells ok={all_ok}, largest move from the stored table {moved:.1e} (limit 1e-9)",
     )
+
+
+def _table_distance(rows: list[dict], table: list[dict]) -> float:
+    """Largest absolute difference of a numeric field between rows and the
+    stored table; inf when a row, a key or a string field (status) differs."""
+    if len(rows) != len(table):
+        return math.inf
+    worst = 0.0
+    for got, want in zip(rows, table):
+        if got.keys() != want.keys():
+            return math.inf
+        for key, value in want.items():
+            if isinstance(value, str):
+                if got[key] != value:
+                    return math.inf
+            else:
+                worst = max(worst, abs(got[key] - value))
+    return worst
+
+
+def test_enhance_reference_on_a_2s_scene(speech_wav):
+    """The deploy_pk8 and eval_oracle_m16 configurations on a 2 s scene keep
+    their stored status counts exactly and output energies within 1e-9
+    relative; the run with float32-rounded references filters both shadows."""
+    table = json.loads(ENHANCE_TABLE.read_text())
+    runs = enhance_runs(speech_wav)
+    assert runs.keys() == table.keys()
+    for name, run in runs.items():
+        got, want = enhance_summary(enhance(*run)), table[name]
+        assert got["status_counts"] == want["status_counts"], name
+        for clip, energy in want["energy"].items():
+            if energy is None:
+                assert got["energy"][clip] is None, (name, clip)
+            else:
+                assert got["energy"][clip] == pytest.approx(energy, rel=1e-9, abs=0), (name, clip)

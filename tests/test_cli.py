@@ -182,6 +182,12 @@ BAD_CONFIGS = [
     f'{{{_PARTITION}, "stft": {{"sample_rate_hz": 16000.5}}}}',
     f'{{{_PARTITION}, "spp": {{"init_frames": 2.5}}}}',
     f'{{{_PARTITION}, "spp": {{"init_frames": true}}}}',
+    # bools where a number belongs
+    f'{{{_PARTITION}, "delta": true}}',
+    f'{{{_PARTITION}, "spp": {{"xi_h1": true}}}}',
+    f'{{{_PARTITION}, "spp": {{"xi_h1_db": true}}}}',
+    # the speech a-priori SNR set twice, linear and in dB
+    f'{{{_PARTITION}, "spp": {{"xi_h1": 2.0, "xi_h1_db": 30}}}}',
     # numbers that do not parse, overflow or are not finite
     f'{{{_PARTITION}, "spp": {{"xi_h1_db": "x"}}}}',
     f'{{{_PARTITION}, "spp": {{"xi_h1_db": 4000}}}}',

@@ -395,11 +395,11 @@ def test_input_analysis_holds_no_component_grid(default_scene):
 
 @pytest.mark.parametrize("channels", [(5,), (9, 2, 14, 0), tuple(range(16))])
 def test_blocked_filter_matches_whole_grid_synthesis(rng, channels):
-    """A grid or a clip filtered _BLOCK frames at a time equals a
-    whole-grid synthesis bit for bit, at lengths around one frame and
-    around whole blocks: one bank gives synthesize(apply_filterbank(...)),
-    and three banks in one call give the whole grid's stacked product,
-    within rounding of each bank's own apply_filterbank."""
+    """A clip filtered _BLOCK frames at a time equals a whole-grid
+    synthesis bit for bit, at lengths around one frame and around whole
+    blocks: one bank gives synthesize(apply_filterbank(...)), and three
+    banks in one call give the whole grid's stacked product, within
+    rounding of each bank's own apply_filterbank."""
     from egomwf.pipeline import _BLOCK, InputAnalysis, _conj_weights
     from egomwf.stft import synthesize
 
@@ -417,15 +417,34 @@ def test_blocked_filter_matches_whole_grid_synthesis(rng, channels):
         own = [synthesize(StftGrid(apply_filterbank(grid, fb, channels)[:, :, None], params, n))
                for fb in banks]
         whole = synthesize(StftGrid(grid.data @ stacked, params, n)).samples
-        for source in (analysis.grid, clip):
-            assert np.array_equal(analysis._synthesized(source, banks[:1])[0].samples,
-                                  own[0].samples), (n, source)
-            filtered = analysis._synthesized(source, banks)
-            assert len(filtered) == len(banks)
-            for j, (got, want) in enumerate(zip(filtered, own)):
-                assert np.array_equal(got.samples[0], whole[j]), (n, source, j)
-                assert np.max(np.abs(got.samples - want.samples)) <= 1e-12 * np.max(
-                    np.abs(want.samples)), (n, source, j)
+        assert np.array_equal(analysis._synthesized(clip, banks[:1])[0].samples,
+                              own[0].samples), n
+        filtered = analysis._synthesized(clip, banks)
+        assert len(filtered) == len(banks)
+        for j, (got, want) in enumerate(zip(filtered, own)):
+            assert np.array_equal(got.samples[0], whole[j]), (n, j)
+            assert np.max(np.abs(got.samples - want.samples)) <= 1e-12 * np.max(
+                np.abs(want.samples)), (n, j)
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["deploy_pk8", "eval_oracle_m16"])
+def test_enhance_equals_the_streamed_pass_of_the_mixture_clip(default_scene, oracle):
+    """enhance filters the mixture grid whole; the blocked pass that
+    prepare runs on the reference clips, given the mixture clip and the
+    run's bank, gives the same output bit for bit."""
+    from egomwf.filters import filter_partition
+    from egomwf.pipeline import InputAnalysis
+
+    scene = default_scene
+    speech_noise = tuple(range(12)) if oracle else (0, 1, 2, 3)
+    cfg = EnhanceConfig(partition=ChannelPartition(speech_noise, (12, 13, 14, 15), 0),
+                        spp_mode="oracle" if oracle else "internal", method="pk-mwf")
+    refs = (scene.speech_image, scene.noise_image) if oracle else (None, None)
+    result = enhance(scene.mixture, cfg, *refs)
+    channels = filter_partition(cfg.partition, cfg.method).ordered_channels
+    analysis = InputAnalysis(scene.mixture, cfg.stft, None, None, channels, [])
+    streamed = analysis._synthesized(scene.mixture, [result.filterbank])[0]
+    assert np.array_equal(result.enhanced.samples, streamed.samples)
 
 
 def test_single_run_shadow_enhance_holds_no_component_grid(default_scene):

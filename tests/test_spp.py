@@ -87,6 +87,7 @@ def test_param_validation():
         {"spp_cap": 1.0},
         {"threshold": 0.0},
         {"xi_h1": -1.0},
+        {"xi_h1": True},
         {"init_frames": 0},
     ):
         with pytest.raises(SppError):
