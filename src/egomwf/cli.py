@@ -9,12 +9,13 @@ followed by metrics.score_output on the processed file. The sweep runs
 one scene per seed and SNR, one after another in this process, and on
 each scene every array size x SPP mode x method.
 
-Before a scene's cells start, SharedScene builds what they share: the
-mixture's STFT grid on the 16 array and propeller channels, one mask
-and covariance per SPP mode, the input scores, and the analysis prepared
-for every cell (its filter bank, and the speech image filtered for all
-cells in one pass). A failure there fails exactly the cells it serves; a
-cell then filters the mixture grid and scores. A scene holds BLAS at one
+A sweep cell is one EnhanceConfig. Before a scene's cells start,
+_run_scene_group builds what they share: the input scores, then one
+InputAnalysis of the mixture on the 16 array and propeller channels
+(its STFT grid, one mask and covariance per SPP mode) prepared for every
+cell (its filter bank, and the speech image filtered for all cells in
+one pass). A failure there fails exactly the cells it serves; a cell
+then filters the mixture grid and scores. A scene holds BLAS at one
 thread; its cells run on one thread per usable core (those of a scene
 whose pin does not take, on one).
 """
@@ -34,8 +35,8 @@ from pathlib import Path
 from .audio_io import AudioClip, read_wav, write_wav
 from .config import ConfigError, EnhanceConfig, load_config
 from .errors import EgomwfError
-from .filters import METHODS, ChannelPartition
-from .metrics import score_input, score_output
+from .filters import METHODS
+from .metrics import InputScores, score_input, score_output
 from .pipeline import InputAnalysis, PipelineError, enhance
 from .scenegen import DEFAULT_ARRAY_SIZES, DEFAULT_SNRS_DB, SceneConfig, SceneError, one_blas_thread
 from .scenegen import render_scene, spread, suite_partition, usable_cores, write_scene
@@ -132,59 +133,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cell_config(ext: int, partition: ChannelPartition, spp_mode: str, method: str) -> EnhanceConfig:
-    """The enhance config of one sweep cell; ext is the external channel."""
-    return EnhanceConfig(
-        partition=partition,
-        spp_mode=spp_mode,
-        spp_channel=ext if spp_mode == "external" else None,
-        method=method,
-    )
-
-
-class SharedScene:
-    """A scene's manifest and the work its sweep cells share, all built on
-    construction: the input scores and the mixture analysis, prepared for
-    every cell on `lanes` threads, the caller's among them. The rendered
-    images go as soon as what needs them exists."""
-
-    def __init__(self, scene_cfg: SceneConfig, cells: list[tuple], lanes: int):
-        scene = render_scene(scene_cfg)
-        self.manifest = scene.manifest
-        channels = scene.manifest["channels"]
-        ext = channels["external"]
-        configs = [_cell_config(ext, suite_partition(m), mode, method) for m, mode, method in cells]
-        ref = scene.manifest["reference_channel"]
-        self.inputs = score_input(scene.speech_image.channel(ref), scene.mixture.channel(ref))
-        images = scene.mixture, StftParams(), scene.speech_image, scene.noise_image
-        self.analysis = InputAnalysis(*images, channels["array"] + channels["propeller"], configs)
-        del scene, images  # the analysis keeps the speech image alone, for its pass
-        self.analysis.prepare(lanes)
-
-
-def run_cell(shared: SharedScene, partition: ChannelPartition, spp_mode: str, method: str) -> dict:
-    """One sweep cell on its scene's shared work; returns its scores."""
-    ext = shared.manifest["channels"]["external"]
-    result = shared.analysis.enhance(_cell_config(ext, partition, spp_mode, method))
-    scores = asdict(
-        score_output(shared.inputs, result.enhanced, result.shadow_speech, result.shadow_noise)
-    )
+def run_cell(analysis: InputAnalysis, inputs: InputScores, cfg: EnhanceConfig) -> dict:
+    """One sweep cell on its scene's prepared analysis; returns its scores."""
+    result = analysis.enhance(cfg)
+    scores = asdict(score_output(inputs, result.enhanced, result.shadow_speech, result.shadow_noise))
     del scores["flags"]
     return scores
 
 
 def _run_scene_group(scene_cfg: SceneConfig, lanes: int) -> list[dict]:
     """Render one scene and run every array size x SPP mode x method on it,
-    on `lanes` threads counting the caller; rows come back in product order."""
-    cells = list(product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS))
+    on `lanes` threads counting the caller; rows come back in product order.
+    Each cell is one EnhanceConfig, keyed to its row labels."""
     with one_blas_thread() as pinned:
         lanes = lanes if pinned else 1
-        shared = SharedScene(scene_cfg, cells, lanes)
-
-        def run(cell: tuple) -> dict:
-            m_speech_noise, spp_mode, method = cell
-            partition = suite_partition(m_speech_noise)
-            row = {
+        scene = render_scene(scene_cfg)
+        channels, ref = scene.manifest["channels"], scene.manifest["reference_channel"]
+        cells = {}
+        for m, spp_mode, method in product(DEFAULT_ARRAY_SIZES, SPP_MODES, METHODS):
+            partition = suite_partition(m)
+            spp_channel = channels["external"] if spp_mode == "external" else None
+            cfg = EnhanceConfig(partition, spp_mode=spp_mode, spp_channel=spp_channel, method=method)
+            cells[cfg] = {
                 "seed": scene_cfg.seed,
                 "snr_db": scene_cfg.target_snr_db,
                 "m_speech_noise": partition.n_speech_noise,
@@ -192,13 +162,21 @@ def _run_scene_group(scene_cfg: SceneConfig, lanes: int) -> list[dict]:
                 "spp_mode": spp_mode,
                 "method": method,
             }
+        inputs = score_input(scene.speech_image.channel(ref), scene.mixture.channel(ref))
+        images = scene.mixture, StftParams(), scene.speech_image, scene.noise_image
+        analysis = InputAnalysis(*images, channels["array"] + channels["propeller"], list(cells))
+        del scene, images  # the analysis keeps the speech image alone, for its pass
+        analysis.prepare(lanes)
+
+        def run(cfg: EnhanceConfig) -> dict:
+            row = dict(cells[cfg])
             try:
-                row.update(run_cell(shared, partition, spp_mode, method), status="ok")
+                row.update(run_cell(analysis, inputs, cfg), status="ok")
             except PROCESSING_ERRORS as exc:
                 row["status"] = f"failed: {exc}"
             return row
 
-        return spread(run, cells, lanes)
+        return spread(run, list(cells), lanes)
 
 
 CSV_COLUMNS = [

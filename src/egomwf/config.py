@@ -14,7 +14,7 @@ from pathlib import Path
 from .covariance import DEFAULT_LOADING
 from .errors import EgomwfError
 from .filters import METHODS, ChannelPartition, FilterError, is_channel
-from .spp import SPP_MODES, SppError, SppParams
+from .spp import SPP_MODES, SppError, SppParams, is_number
 from .stft import StftError, StftParams
 
 
@@ -46,7 +46,7 @@ class EnhanceConfig:
             violations.append(f"method must be one of {METHODS}, got {self.method!r}")
         if self.spp_mode not in SPP_MODES:
             violations.append(f"spp_mode must be one of {SPP_MODES}, got {self.spp_mode!r}")
-        if isinstance(self.delta, bool) or not 0 <= self.delta < math.inf:
+        if not is_number(self.delta) or not 0 <= self.delta < math.inf:
             violations.append(f"delta must be a number >= 0 and finite, got {self.delta!r}")
         if self.spp_channel is not None and not is_channel(self.spp_channel):
             violations.append(f"spp_channel must be a non-negative integer, got {self.spp_channel!r}")
@@ -84,7 +84,7 @@ def _build_spp(section: dict) -> SppParams:
         if "xi_h1" in section:
             raise ValueError("set xi_h1 or xi_h1_db, not both")
         db = section.pop("xi_h1_db")
-        if isinstance(db, bool):
+        if not is_number(db):
             raise TypeError(f"xi_h1_db must be a number, got {db!r}")
         section["xi_h1"] = 10.0 ** (float(db) / 10.0)
     allowed = {"xi_h1", "alpha_psd", "spp_cap", "init_frames", "threshold"}
@@ -125,7 +125,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> EnhanceConfig:
     # keys the file leaves out take EnhanceConfig's defaults
     settings = {k: raw[k] for k in ("spp_mode", "spp_channel", "method", "delta") if k in raw}
     try:
-        if "delta" in settings and not isinstance(settings["delta"], bool):
+        if is_number(settings.get("delta")):  # ints as floats, so reports do not change
             settings["delta"] = float(settings["delta"])
         return EnhanceConfig(partition=partition, stft=stft, spp=spp, **settings)
     except (TypeError, ValueError) as exc:

@@ -26,8 +26,8 @@ _BIN_BLOCK = 16
 class BinStatistics:
     """Hermitian (r_yy, r_nn) pairs for a stack of frequency bins.
 
-    r_yy and r_nn are (bins, M, M); l_on, l_off and bin_index are (bins,)
-    int arrays. l_on/l_off count the speech-active and inactive frames
+    r_yy and r_nn are (bins, M, M); l_on and l_off are (bins,) int
+    arrays. l_on/l_off count the speech-active and inactive frames
     that entered each average; a zero count leaves the corresponding
     matrix zero and is resolved by the filter stage's fallbacks.
     """
@@ -36,7 +36,6 @@ class BinStatistics:
     r_nn: np.ndarray
     l_on: np.ndarray
     l_off: np.ndarray
-    bin_index: np.ndarray
 
     def block(self, positions: Sequence[int]) -> "BinStatistics":
         """Principal sub-block on the listed channel positions, in that order.
@@ -112,7 +111,6 @@ def estimate_correlations(
         r_nn=average(r_nn, l_off),
         l_on=l_on.astype(np.int64),
         l_off=l_off.astype(np.int64),
-        bin_index=np.arange(grid.n_bins),
     )
 
 

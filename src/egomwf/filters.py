@@ -98,7 +98,6 @@ class FilterBank:
     """Per-bin weight vectors plus the partition that shaped them."""
 
     weights: np.ndarray  # (bins, M) complex
-    method: str
     partition: ChannelPartition
     per_bin_status: tuple[str, ...]
     compute_seconds: float = field(default=0.0)
@@ -240,7 +239,6 @@ def build_filterbank(
     weights, status = _filter(stats, eff, delta)
     return FilterBank(
         weights=weights,
-        method=method,
         partition=eff,
         per_bin_status=tuple(status.tolist()),
         compute_seconds=time.perf_counter() - t0,

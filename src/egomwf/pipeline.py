@@ -168,14 +168,13 @@ class InputAnalysis:
         return order, (_mask_source(cfg), cfg.spp)
 
     def _build_mask(self, key: tuple[tuple, SppParams], single: dict, refs: tuple) -> SppMask:
-        source, spp = key
-        mode, channel = source
+        (mode, channel), spp = key
         if mode != "oracle":
             if channel in self._column:
                 spectrogram = self.grid.channel_slice(self._column[channel])
             else:
                 spectrogram = single[channel].channel_slice(0)
-            return estimate_spp(spectrogram, spp, source)
+            return estimate_spp(spectrogram, spp)
         if None in refs:
             raise PipelineError("oracle SPP mode needs ground-truth speech and noise clips")
         at_channel = [ref.channel(channel) if ref.n_channels > 1 else ref for ref in refs]

@@ -293,7 +293,7 @@ def make_oracle_mask(
     s_pow = np.abs(analyze(speech_ref, params).data[:, :, 0]) ** 2
     n_pow = np.abs(analyze(noise_ref, params).data[:, :, 0]) ** 2
     beta = ((s_pow >= n_pow) & (s_pow > 0)).astype(np.uint8)
-    return SppMask(spp=beta.astype(np.float64), beta=beta, source_channel=("oracle", -1))
+    return SppMask(spp=beta.astype(np.float64), beta=beta)
 
 
 def _load_speech(cfg: SceneConfig) -> np.ndarray:

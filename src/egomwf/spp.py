@@ -21,6 +21,11 @@ class SppError(EgomwfError):
     pass
 
 
+def is_number(value) -> bool:
+    """True for an int or float (numpy's too), bools not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SppParams:
     xi_h1: float = 10.0 ** (15.0 / 10.0)  # a-priori SNR under speech, linear
@@ -30,29 +35,24 @@ class SppParams:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_psd < 1.0:
-            raise SppError(f"alpha_psd must be in (0,1), got {self.alpha_psd}")
-        if not 0.0 < self.spp_cap < 1.0:
-            raise SppError(f"spp_cap must be in (0,1), got {self.spp_cap}")
-        if not 0.0 < self.threshold < 1.0:
-            raise SppError(f"threshold must be in (0,1), got {self.threshold}")
-        if isinstance(self.xi_h1, bool) or not 0 < self.xi_h1 < np.inf:
-            raise SppError(f"xi_h1 must be a positive finite number, got {self.xi_h1!r}")
+        if not is_number(self.alpha_psd) or not 0.0 < self.alpha_psd < 1.0:
+            raise SppError(f"alpha_psd must be a number in (0,1), got {self.alpha_psd!r}")
+        if not is_number(self.spp_cap) or not 0.0 < self.spp_cap < 1.0:
+            raise SppError(f"spp_cap must be a number in (0,1), got {self.spp_cap!r}")
+        if not is_number(self.threshold) or not 0.0 < self.threshold < 1.0:
+            raise SppError(f"threshold must be a number in (0,1), got {self.threshold!r}")
+        if not is_number(self.xi_h1) or not 0 < self.xi_h1 < np.inf:
+            raise SppError(f"xi_h1 must be a number > 0 and finite, got {self.xi_h1!r}")
         if type(self.init_frames) is not int or self.init_frames < 1:
             raise SppError(f"init_frames must be an integer >= 1, got {self.init_frames!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class SppMask:
-    """Per-(bin, frame) probability and binary indicator.
-
-    source_channel records where the driving spectrogram came from:
-    ("internal", idx), ("external", idx) or ("oracle", -1).
-    """
+    """Per-(bin, frame) probability and binary indicator."""
 
     spp: np.ndarray
     beta: np.ndarray
-    source_channel: tuple[str, int]
 
     @property
     def n_frames(self) -> int:
@@ -62,11 +62,7 @@ class SppMask:
         return float(np.mean(self.beta))
 
 
-def estimate_spp(
-    spectrogram: np.ndarray,
-    params: SppParams | None = None,
-    source_channel: tuple[str, int] = ("internal", 0),
-) -> SppMask:
+def estimate_spp(spectrogram: np.ndarray, params: SppParams | None = None) -> SppMask:
     """SPP and activity indicator for one channel's (bins, frames) STFT.
 
     The noise PSD starts as the mean periodogram of the first
@@ -118,5 +114,5 @@ def estimate_spp(
         np.maximum(sigma2, eps, out=sigma2)
     spp = np.ascontiguousarray(spp_t.T)
     beta = (spp >= params.threshold).astype(np.uint8)
-    return SppMask(spp=spp, beta=beta, source_channel=source_channel)
+    return SppMask(spp=spp, beta=beta)
 

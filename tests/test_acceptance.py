@@ -55,7 +55,7 @@ def sweep_3seed(speech_wav):
 
 def _one_bin(r_yy, r_nn):
     """One-bin stacked statistics, eight frames on each side."""
-    return BinStatistics(r_yy[None], r_nn[None], np.array([8]), np.array([8]), np.array([0]))
+    return BinStatistics(r_yy[None], r_nn[None], np.array([8]), np.array([8]))
 
 
 def _all(m):

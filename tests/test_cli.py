@@ -171,6 +171,16 @@ def test_cmd_enhance_missing_input_usage_error(capsys):
 
 
 _PARTITION = '"partition": {"speech_noise_channels": [0, 1, 2, 3]}'
+# strings where a number belongs, numeric-looking or not
+STRING_NUMBERS = [
+    f'{{{_PARTITION}, "delta": "0.5"}}',
+    f'{{{_PARTITION}, "spp": {{"xi_h1_db": " 30 "}}}}',
+    f'{{{_PARTITION}, "spp": {{"xi_h1": "2.0"}}}}',
+    f'{{{_PARTITION}, "spp": {{"alpha_psd": "0.5"}}}}',
+    f'{{{_PARTITION}, "spp": {{"spp_cap": "0.5"}}}}',
+    f'{{{_PARTITION}, "spp": {{"threshold": "0.5"}}}}',
+]
+
 BAD_CONFIGS = [
     '{"method": "nope"}',
     # integers given as floats or bools
@@ -186,6 +196,7 @@ BAD_CONFIGS = [
     f'{{{_PARTITION}, "delta": true}}',
     f'{{{_PARTITION}, "spp": {{"xi_h1": true}}}}',
     f'{{{_PARTITION}, "spp": {{"xi_h1_db": true}}}}',
+    *STRING_NUMBERS,
     # the speech a-priori SNR set twice, linear and in dB
     f'{{{_PARTITION}, "spp": {{"xi_h1": 2.0, "xi_h1_db": 30}}}}',
     # numbers that do not parse, overflow or are not finite
@@ -222,6 +233,16 @@ def test_cmd_enhance_bad_config_exit_2(tmp_path, scene_dir, capsys):
         assert code == 2, text
         _assert_one_line_error(capsys)
         assert not (tmp_path / "o.wav").exists()
+
+
+@pytest.mark.parametrize("text", STRING_NUMBERS)
+def test_config_string_number_is_rejected_by_name(text):
+    """A numeric-looking string is not parsed as a number: the violation
+    names the key and says it must be a number."""
+    raw = json.loads(text)
+    (key,) = set(raw.get("spp", raw)) - {"partition"}
+    with pytest.raises(ConfigError, match=f"{key} must be a number"):
+        parse_config(raw)
 
 
 @pytest.mark.parametrize("kind", ["directory", "not_utf8", "nested_too_deep"])
@@ -837,10 +858,10 @@ def test_cmd_sweep_cell_failure_exit(tmp_path, speech_wav, monkeypatch):
     import egomwf.cli as cli
 
     real = cli.run_cell
-    def broken(shared, partition, spp_mode, method):
-        if method == "pk-mwf" and shared.manifest["target_snr_db"] == -10.0:
+    def broken(analysis, inputs, cfg):
+        if cfg.method == "pk-mwf" and round(inputs.snr_in_db) == -10:
             raise ValueError("injected failure")
-        return real(shared, partition, spp_mode, method)
+        return real(analysis, inputs, cfg)
 
     monkeypatch.setattr(cli, "run_cell", broken)
     code = main(
@@ -885,10 +906,10 @@ def test_sweep_marks_package_error_row_failed(speech_wav, monkeypatch):
 
     real = cli.run_cell
 
-    def broken(shared, partition, spp_mode, method):
-        if (partition.n_speech_noise, spp_mode, method) == (4, "internal", "mwf"):
+    def broken(analysis, inputs, cfg):
+        if (cfg.partition.n_speech_noise, cfg.spp_mode, cfg.method) == (4, "internal", "mwf"):
             raise FilterError("singular noise-reference Gram matrix")
-        return real(shared, partition, spp_mode, method)
+        return real(analysis, inputs, cfg)
 
     monkeypatch.setattr(cli, "run_cell", broken)
     monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
@@ -1019,8 +1040,8 @@ def test_scene_group_error_stops_cells_not_started(speech_wav, monkeypatch):
     for lanes in (1, 2):
         started = []
 
-        def first_cell_breaks(shared, partition, spp_mode, method):
-            cell = (partition.n_speech_noise, spp_mode, method)
+        def first_cell_breaks(analysis, inputs, cfg):
+            cell = (cfg.partition.n_speech_noise, cfg.spp_mode, cfg.method)
             started.append(cell)
             if cell == (4, SPP_MODES[0], METHODS[0]):  # the first cell in product order
                 raise RuntimeError("not a processing error")
@@ -1103,6 +1124,33 @@ def test_scene_group_builds_shared_work_once_on_many_lanes(speech_wav, monkeypat
         sys.setswitchinterval(interval)
     assert crowded == serial
     assert sorted(calls) == ["estimate_correlations"] * len(SPP_MODES) + ["score_input"]
+
+
+def test_scene_group_builds_each_cell_config_once(speech_wav, monkeypatch):
+    """A cell is one EnhanceConfig: each is built once per scene, and its
+    cell runs on the very object the analysis was prepared for."""
+    import egomwf.cli as cli
+
+    built, handed = [], []
+
+    def counted(*args, **kwargs):
+        built.append(EnhanceConfig(*args, **kwargs))
+        return built[-1]
+
+    real = cli.run_cell
+
+    def recorded(analysis, inputs, cfg):
+        handed.append((cfg, any(cfg is key for key in analysis._runs)))
+        return real(analysis, inputs, cfg)
+
+    monkeypatch.setattr(cli, "EnhanceConfig", counted)
+    monkeypatch.setattr(cli, "run_cell", recorded)
+    monkeypatch.setattr(cli, "DEFAULT_ARRAY_SIZES", (4,))
+    rows = cli._run_scene_group(_short_scene_cfg(speech_wav), 2)
+    assert all(r["status"] == "ok" for r in rows)
+    assert len(built) == len(rows) == 9
+    assert all(prepared for _, prepared in handed)
+    assert sorted(map(id, built)) == sorted(id(cfg) for cfg, _ in handed)
 
 
 def test_scene_group_frees_component_grids_and_images(speech_wav):

@@ -15,12 +15,12 @@ def _make_grid(rng, bins=17, frames=30, channels=4):
 
 
 def _mask_from(beta):
-    return SppMask(spp=beta.astype(float), beta=beta.astype(np.uint8), source_channel=("internal", 0))
+    return SppMask(spp=beta.astype(float), beta=beta.astype(np.uint8))
 
 
 def _bins(stats):
-    """(bin_index, r_yy, r_nn, l_on, l_off) of each bin of a stack, in bin order."""
-    return zip(stats.bin_index, stats.r_yy, stats.r_nn, stats.l_on, stats.l_off)
+    """(bin, r_yy, r_nn, l_on, l_off) of each bin of a stack, in bin order."""
+    return zip(range(len(stats.r_yy)), stats.r_yy, stats.r_nn, stats.l_on, stats.l_off)
 
 
 def test_single_active_frame(rng):
@@ -120,8 +120,7 @@ def test_input_validation(rng):
 def _stats(r_yy, r_nn, l_on=5, l_off=5):
     """One-bin stack."""
     return BinStatistics(
-        r_yy=r_yy[None], r_nn=r_nn[None], l_on=np.array([l_on]), l_off=np.array([l_off]),
-        bin_index=np.array([0]),
+        r_yy=r_yy[None], r_nn=r_nn[None], l_on=np.array([l_on]), l_off=np.array([l_off])
     )
 
 
@@ -265,8 +264,8 @@ def test_block_of_single_bin_statistics(rng):
 
 
 def test_statistics_compare_by_identity_and_hash():
-    a = BinStatistics(np.eye(2), np.eye(2), 1, 1, 0)
-    b = BinStatistics(np.eye(2), np.eye(2), 1, 1, 0)
+    a = BinStatistics(np.eye(2), np.eye(2), 1, 1)
+    b = BinStatistics(np.eye(2), np.eye(2), 1, 1)
     assert a != b
     assert a == a
     assert len({a, b}) == 2

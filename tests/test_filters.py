@@ -27,7 +27,7 @@ def _stack(r_yy, r_nn, l_on=10, l_off=10):
         r_yy, r_nn = r_yy[None], r_nn[None]
     n = len(r_yy)
     counts = [np.broadcast_to(np.asarray(c, dtype=np.int64), (n,)).copy() for c in (l_on, l_off)]
-    return BinStatistics(r_yy, r_nn, *counts, bin_index=np.arange(n))
+    return BinStatistics(r_yy, r_nn, *counts)
 
 
 def _bin(stats, k):

@@ -8,7 +8,7 @@ from egomwf.config import EnhanceConfig
 from egomwf.filters import STATUS_NO_SPEECH, ChannelPartition, FilterBank
 from egomwf.metrics import stoi
 from egomwf.pipeline import PipelineError, apply_filterbank, enhance
-from egomwf.scenegen import SceneConfig, render_scene, suite_partition
+from egomwf.scenegen import SceneConfig, make_oracle_mask, render_scene, suite_partition
 from egomwf.stft import StftGrid, StftParams, analyze
 
 
@@ -23,7 +23,6 @@ def _grid(rng, bins=9, frames=12, channels=3):
 def _bank(weights, partition):
     return FilterBank(
         weights=weights,
-        method="mwf",
         partition=partition,
         per_bin_status=tuple(["ok"] * weights.shape[0]),
     )
@@ -163,15 +162,12 @@ def test_external_mode_requires_channel(default_scene):
 
 def test_mask_only_ground_truth_skips_shadows(default_scene):
     cfg = EnhanceConfig(partition=suite_partition(4), spp_mode="oracle", method="pk-mwf")
-    result = enhance(
-        default_scene.mixture,
-        cfg,
-        default_scene.speech_image.channel(0),
-        default_scene.noise_image.channel(0),
-    )
+    ref = cfg.partition.speech_noise_channels[cfg.partition.ref_channel]
+    speech, noise = default_scene.speech_image.channel(ref), default_scene.noise_image.channel(ref)
+    result = enhance(default_scene.mixture, cfg, speech, noise)
     assert result.shadow_speech is None
     assert result.shadow_noise is None
-    assert result.mask.source_channel[0] == "oracle"
+    assert np.array_equal(result.mask.beta, make_oracle_mask(speech, noise).beta)
 
 
 def test_external_spp_uses_external_channel(default_scene):
@@ -180,7 +176,6 @@ def test_external_spp_uses_external_channel(default_scene):
         partition=suite_partition(8), spp_mode="external", spp_channel=ext, method="pk-mwf"
     )
     result = enhance(default_scene.mixture, cfg)
-    assert result.mask.source_channel == ("external", ext)
     grid = analyze(default_scene.mixture)
     from egomwf.spp import estimate_spp
 
@@ -273,7 +268,7 @@ def test_external_spp_outside_filter_channels_matches_full_grid(default_scene, m
 
     grid = analyze(default_scene.mixture, channels=[0, 1, 2, 3])
     ext_grid = analyze(default_scene.mixture, channels=[ext])
-    mask = estimate_spp(ext_grid.channel_slice(0), cfg.spp, ("external", ext))
+    mask = estimate_spp(ext_grid.channel_slice(0), cfg.spp)
     stats = estimate_correlations(grid, mask, range(4))
     fb = build_filterbank(stats, part, "mwf", cfg.delta)
     d = apply_filterbank(grid, fb, range(4))

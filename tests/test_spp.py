@@ -88,6 +88,10 @@ def test_param_validation():
         {"threshold": 0.0},
         {"xi_h1": -1.0},
         {"xi_h1": True},
+        {"xi_h1": "2.0"},
+        {"alpha_psd": "0.5"},
+        {"spp_cap": "0.5"},
+        {"threshold": "0.5"},
         {"init_frames": 0},
     ):
         with pytest.raises(SppError):
